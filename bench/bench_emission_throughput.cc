@@ -2,46 +2,39 @@
 // ER the paper actually measures recall against (Alg. 6) — how fast can
 // the engine *emit* once initialization is done?
 //
-// Two paths per configuration, both draining the same engine setup:
+// One drain per (shards, threads) configuration. PBS/PPS refills are pure
+// functions of their cursor, so the engine runs them on `threads` workers
+// (per shard: max(1, threads / shards)) through the ordered refill map
+// (src/parallel/ordered_map.h); the consumer pops finished windows in
+// cursor order. The first --threads value is the reference of each shard
+// count ("emit" row, speedup 1.00x); the other rows report its wall time
+// over theirs.
 //
-//   emit_serial     the reference path (lookahead 0): every refill —
-//                   ProcessProfile / ProcessBlock, and for sharded runs
-//                   every shard-head refill of the k-way merge — is
-//                   computed inline on the consuming thread;
-//   emit_pipelined  the emission pipeline (lookahead > 0): refill batches
-//                   are produced ahead of consumption on producer tasks,
-//                   one per shard, so the consumer pops completed batches.
+// Each configuration also runs a telemetry-overhead drain ("emit_obs"
+// rows): the same drain with a live obs::Registry attached, reporting the
+// on/off wall-clock ratio as an "overhead" extra plus the refill map's
+// health read off the registry (ready-window quantiles, stall/wait
+// counts).
 //
-// Each path also runs a telemetry-overhead configuration ("_obs" rows): the
-// same drain with a live obs::Registry attached. Those rows are digest-
-// checked against the same reference (telemetry must be a pure observer)
-// and report the on/off wall-clock ratio as an "overhead" extra; the
-// pipelined one additionally reports ring-occupancy quantiles and
-// stall/wait counts read off the registry.
-//
-// Both paths emit the *bit-identical* comparison stream (same pairs, same
-// weights, same order); the bench folds every emission into an FNV-1a
-// digest and fails (exit 1) on any divergence.
+// Every row must emit the *bit-identical* comparison stream of its shard
+// count (same pairs, same weights, same order); the bench folds every
+// emission into an FNV-1a digest and fails (exit 1) on any divergence.
 //
 //   bench_emission_throughput [--scale=S] [--dataset=NAME] [--method=M]
-//                             [--repeat=R] [--threads=T] [--budget=N]
-//                             [--shards=S1,S2,...] [--lookahead=L1,L2,...]
+//                             [--repeat=R] [--threads=T1,T2,...]
+//                             [--budget=N] [--shards=S1,S2,...]
 //                             [--json=PATH]
 //
-// --json emits {dataset, scale, threads, shards, lookahead, path,
-// wall_ms, speedup} records (schema: bench/BENCH.md); speedup is
-// serial/pipelined at the same shard count. Speedup needs spare physical
-// cores: with S shards the pipelined path keeps S producers plus the
-// merge thread busy; on a 1-core machine it degrades to ~1.0x (queue
-// overhead only) while the digests still pin correctness.
+// --json emits {dataset, scale, threads, shards, path, wall_ms, speedup}
+// records (schema: bench/BENCH.md). Speedup needs spare physical cores;
+// on a 1-core machine it stays near 1.0x while the digests still pin
+// correctness.
 //
-// The timer covers the drain only — producers start prefetching during
-// engine construction, before the timer. With the default --budget=0
-// (drain dry) that head start is at most lookahead slots per shard,
+// The timer covers the drain only — workers start on the first windows
+// during engine construction, before the timer. With the default
+// --budget=0 (drain dry) that head start is a few windows per worker,
 // noise against millions of emissions; a small --budget makes the
-// pipelined number mostly prefetched-for-free and the speedup
-// meaningless, so the bench warns when budget is within ~20x of the
-// prefetch bound.
+// multi-thread numbers mostly prefetched-for-free.
 
 #include <algorithm>
 #include <chrono>
@@ -72,21 +65,19 @@ double Millis(std::chrono::steady_clock::time_point start) {
 
 using sper::bench::DrainResult;
 
-/// Builds the resolver (Resolver::Create picks plain vs sharded vs
-/// pipelined), then times the emission drain only — initialization is
+/// Builds the resolver (Resolver::Create picks plain vs sharded), then
+/// times the emission drain only — initialization is
 /// bench_parallel_scaling's job. A non-null `registry` attaches a
 /// telemetry scope (the "_obs" paths); the drained stream must stay
 /// bit-identical either way.
 DrainResult RunOnce(const ProfileStore& store, MethodId method,
                     std::size_t threads, std::size_t shards,
-                    std::size_t lookahead, std::uint64_t budget,
-                    obs::Registry* registry = nullptr) {
+                    std::uint64_t budget, obs::Registry* registry = nullptr) {
   ResolverOptions options;
   options.method = method;
   options.num_threads = threads;
   options.num_shards = shards;
   options.budget = budget;
-  options.lookahead = lookahead;
   if (registry != nullptr) {
     options.telemetry = obs::TelemetryScope(registry);
   }
@@ -102,12 +93,11 @@ DrainResult RunOnce(const ProfileStore& store, MethodId method,
   return result;
 }
 
-/// The telemetry observations of one instrumented pipelined run,
-/// aggregated across shards (the plain engine records unprefixed
-/// "pipeline.*" metrics; the sharded engine one set per "shardS."
-/// prefix).
-void AppendPipelineExtras(const obs::Registry& registry, std::size_t shards,
-                          sper::bench::JsonRecord& record) {
+/// The refill-map observations of one instrumented run, aggregated across
+/// shards (the plain engine records unprefixed "pipeline.*" metrics; the
+/// sharded engine one set per "shardS." prefix).
+void AppendRefillExtras(const obs::Registry& registry, std::size_t shards,
+                        sper::bench::JsonRecord& record) {
   obs::Histogram occupancy;
   std::uint64_t stalls = 0;
   std::uint64_t waits = 0;
@@ -144,10 +134,9 @@ int main(int argc, char** argv) {
   std::string dataset_name = "dbpedia";
   std::string method_name = "pps";
   std::string json_path;
-  std::size_t threads = 8;
+  std::vector<std::size_t> thread_counts = {1, 4};
   std::uint64_t budget = 0;  // 0 = drain the method dry
   std::vector<std::size_t> shard_counts = {1, 4};
-  std::vector<std::size_t> lookaheads = {4};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
       scale = std::atof(argv[i] + 8);
@@ -158,23 +147,27 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
       repeat = std::atoi(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::strtoul(argv[i] + 10, nullptr, 10);
+      thread_counts = sper::bench::ParseSizeList(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shard_counts = sper::bench::ParseSizeList(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      lookaheads = sper::bench::ParseSizeList(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--repeat=R] [--threads=T] [--budget=N] [--shards=S1,S2,...] "
-          "[--lookahead=L1,L2,...] [--json=PATH]\n",
+          "[--repeat=R] [--threads=T1,T2,...] [--budget=N] "
+          "[--shards=S1,S2,...] [--json=PATH]\n",
           argv[0]);
       return 2;
     }
+  }
+  if (thread_counts.empty() ||
+      std::find(thread_counts.begin(), thread_counts.end(), 0u) !=
+          thread_counts.end()) {
+    std::fprintf(stderr, "--threads needs counts >= 1\n");
+    return 2;
   }
 
   const std::optional<MethodId> method = ParseMethodId(method_name);
@@ -191,149 +184,87 @@ int main(int argc, char** argv) {
   }
   const ProfileStore& store = dataset.value().store;
   std::printf("dataset %s: %zu profiles (scale %.2f, %s), method %s, "
-              "threads %zu, budget %llu, hardware threads %u\n",
+              "budget %llu, hardware threads %u\n",
               dataset.value().name.c_str(), store.size(), scale,
               ToString(store.er_type()),
-              std::string(ToString(*method)).c_str(), threads,
+              std::string(ToString(*method)).c_str(),
               static_cast<unsigned long long>(budget),
               std::thread::hardware_concurrency());
 
-  if (budget > 0) {
-    // Producers prefetch up to ~(lookahead + 1) slots of >= 256
-    // comparisons per shard before the drain timer starts.
-    std::uint64_t max_prefetch = 0;
-    for (std::size_t shards : shard_counts) {
-      for (std::size_t lookahead : lookaheads) {
-        max_prefetch = std::max<std::uint64_t>(
-            max_prefetch, shards * (lookahead + 1) * 256);
+  // Best-of-`repeat` drain; the kept registry belongs to the best run.
+  const auto best_of = [&](std::size_t threads, std::size_t shards,
+                           std::unique_ptr<obs::Registry>* registry) {
+    DrainResult best;
+    for (int r = 0; r < repeat; ++r) {
+      auto run_registry =
+          registry != nullptr ? std::make_unique<obs::Registry>() : nullptr;
+      DrainResult run =
+          RunOnce(store, *method, threads, shards, budget, run_registry.get());
+      if (r == 0 || run.wall_ms < best.wall_ms) {
+        best = run;
+        if (registry != nullptr) *registry = std::move(run_registry);
       }
     }
-    if (budget < 20 * max_prefetch) {
-      std::printf("WARNING: budget %llu is within 20x of the prefetch "
-                  "bound (~%llu comparisons computed before the timer); "
-                  "pipelined speedups below are not meaningful.\n",
-                  static_cast<unsigned long long>(budget),
-                  static_cast<unsigned long long>(max_prefetch));
-    }
-  }
+    return best;
+  };
 
   std::vector<sper::bench::JsonRecord> records;
-  TextTable table({"shards", "lookahead", "emitted", "emission (ms)",
+  TextTable table({"shards", "threads", "emitted", "emission (ms)",
                    "speedup", "digest"});
   bool ok = true;
   for (std::size_t shards : shard_counts) {
-    DrainResult serial;
-    for (int r = 0; r < repeat; ++r) {
-      DrainResult run =
-          RunOnce(store, *method, threads, shards, /*lookahead=*/0, budget);
-      if (r == 0 || run.wall_ms < serial.wall_ms) serial = run;
-    }
-    table.AddRow({std::to_string(shards), "0 (serial)",
-                  std::to_string(serial.emitted),
-                  FormatDouble(serial.wall_ms, 1), "1.00x", "reference"});
-    records.push_back({dataset.value().name, scale, threads, "emit_serial",
-                       serial.wall_ms, 1.0, shards, 0});
-
-    // Telemetry-overhead configuration: the same serial drain with a
-    // live registry attached. The stream must stay bit-identical and the
-    // overhead (obs/off wall-clock ratio) near 1.0 — the acceptance bar
-    // for the instrumentation being a pure observer.
-    {
-      DrainResult serial_obs;
-      for (int r = 0; r < repeat; ++r) {
-        obs::Registry registry;
-        DrainResult run = RunOnce(store, *method, threads, shards,
-                                  /*lookahead=*/0, budget, &registry);
-        if (r == 0 || run.wall_ms < serial_obs.wall_ms) serial_obs = run;
-      }
-      const bool match = serial_obs.SameStream(serial);
-      ok = ok && match;
-      const double overhead =
-          serial.wall_ms > 0 ? serial_obs.wall_ms / serial.wall_ms : 0.0;
-      table.AddRow({std::to_string(shards), "0 (serial, obs)",
-                    std::to_string(serial_obs.emitted),
-                    FormatDouble(serial_obs.wall_ms, 1),
-                    FormatDouble(overhead, 3) + "x ovh",
-                    match ? "match" : "MISMATCH"});
-      sper::bench::JsonRecord record{
-          dataset.value().name, scale, threads, "emit_serial_obs",
-          serial_obs.wall_ms,
-          serial_obs.wall_ms > 0 ? serial.wall_ms / serial_obs.wall_ms : 0.0,
-          shards, 0};
-      record.extras.emplace_back("overhead", overhead);
-      records.push_back(std::move(record));
-    }
-
-    for (std::size_t lookahead : lookaheads) {
-      if (lookahead == 0) continue;
-      DrainResult pipelined;
-      for (int r = 0; r < repeat; ++r) {
-        DrainResult run =
-            RunOnce(store, *method, threads, shards, lookahead, budget);
-        if (r == 0 || run.wall_ms < pipelined.wall_ms) pipelined = run;
-      }
-      const bool match = pipelined.SameStream(serial);
+    DrainResult reference;
+    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+      const std::size_t threads = thread_counts[t];
+      const DrainResult plain = best_of(threads, shards, nullptr);
+      if (t == 0) reference = plain;
+      const bool match = plain.SameStream(reference);
       ok = ok && match;
       const double speedup =
-          pipelined.wall_ms > 0 ? serial.wall_ms / pipelined.wall_ms : 0.0;
-      table.AddRow({std::to_string(shards), std::to_string(lookahead),
-                    std::to_string(pipelined.emitted),
-                    FormatDouble(pipelined.wall_ms, 1),
+          plain.wall_ms > 0 ? reference.wall_ms / plain.wall_ms : 0.0;
+      table.AddRow({std::to_string(shards), std::to_string(threads),
+                    std::to_string(plain.emitted),
+                    FormatDouble(plain.wall_ms, 1),
                     FormatDouble(speedup, 2) + "x",
-                    match ? "match" : "MISMATCH"});
-      records.push_back({dataset.value().name, scale, threads,
-                         "emit_pipelined", pipelined.wall_ms, speedup,
-                         shards, lookahead});
+                    t == 0 ? "reference" : (match ? "match" : "MISMATCH")});
+      records.push_back({dataset.value().name, scale, threads, "emit",
+                         plain.wall_ms, speedup, shards, 0, {}});
 
-      // Instrumented pipelined run: overhead vs the un-instrumented
-      // pipelined drain, plus the pipeline-health observations (ring
-      // occupancy quantiles, stall/wait counts) read off the registry of
-      // the best repeat.
-      DrainResult pipelined_obs;
-      std::unique_ptr<obs::Registry> best_registry;
-      for (int r = 0; r < repeat; ++r) {
-        auto registry = std::make_unique<obs::Registry>();
-        DrainResult run = RunOnce(store, *method, threads, shards,
-                                  lookahead, budget, registry.get());
-        if (r == 0 || run.wall_ms < pipelined_obs.wall_ms) {
-          pipelined_obs = run;
-          best_registry = std::move(registry);
-        }
-      }
-      const bool obs_match = pipelined_obs.SameStream(serial);
+      // Telemetry-overhead configuration: the same drain with a live
+      // registry attached. The stream must stay bit-identical and the
+      // overhead (obs/off wall-clock ratio) near 1.0 — the acceptance bar
+      // for the instrumentation being a pure observer.
+      std::unique_ptr<obs::Registry> registry;
+      const DrainResult observed = best_of(threads, shards, &registry);
+      const bool obs_match = observed.SameStream(reference);
       ok = ok && obs_match;
-      const double overhead = pipelined.wall_ms > 0
-                                  ? pipelined_obs.wall_ms / pipelined.wall_ms
-                                  : 0.0;
-      table.AddRow({std::to_string(shards),
-                    std::to_string(lookahead) + " (obs)",
-                    std::to_string(pipelined_obs.emitted),
-                    FormatDouble(pipelined_obs.wall_ms, 1),
+      const double overhead =
+          plain.wall_ms > 0 ? observed.wall_ms / plain.wall_ms : 0.0;
+      table.AddRow({std::to_string(shards), std::to_string(threads) + " (obs)",
+                    std::to_string(observed.emitted),
+                    FormatDouble(observed.wall_ms, 1),
                     FormatDouble(overhead, 3) + "x ovh",
                     obs_match ? "match" : "MISMATCH"});
       sper::bench::JsonRecord record{
-          dataset.value().name, scale, threads, "emit_pipelined_obs",
-          pipelined_obs.wall_ms,
-          pipelined_obs.wall_ms > 0
-              ? pipelined.wall_ms / pipelined_obs.wall_ms
-              : 0.0,
-          shards, lookahead};
+          dataset.value().name, scale, threads, "emit_obs", observed.wall_ms,
+          observed.wall_ms > 0 ? reference.wall_ms / observed.wall_ms : 0.0,
+          shards, 0, {}};
       record.extras.emplace_back("overhead", overhead);
-      AppendPipelineExtras(*best_registry, shards, record);
+      AppendRefillExtras(*registry, shards, record);
       records.push_back(std::move(record));
     }
   }
   table.Print();
   std::printf("\ndigest = FNV-1a over every emitted (i, j, weight); "
-              "\"match\" means the pipelined\nstream is bit-identical to "
-              "the serial reference at the same shard count.\n");
+              "\"match\" means the stream is\nbit-identical to the first "
+              "thread count's at the same shard count.\n");
 
   if (!json_path.empty() &&
       !sper::bench::WriteJsonRecords(json_path, records)) {
     return 1;
   }
   if (!ok) {
-    std::fprintf(stderr, "FAIL: pipelined emission diverged from serial\n");
+    std::fprintf(stderr, "FAIL: emission diverged across thread counts\n");
     return 1;
   }
   return 0;

@@ -17,9 +17,13 @@
 // elsewhere the bench prints the baseline only and says why.
 //
 //   bench_fault_tolerance [--scale=S] [--dataset=NAME] [--method=M]
-//                         [--threads=T] [--shards=N] [--lookahead=L]
-//                         [--budget=N] [--batch=B] [--stall-ms=MS]
-//                         [--deadline-ms=MS] [--repeat=R] [--json=PATH]
+//                         [--threads=T] [--shards=N] [--budget=N]
+//                         [--batch=B] [--stall-ms=MS] [--deadline-ms=MS]
+//                         [--repeat=R] [--json=PATH]
+//
+// --threads (default 4) is ResolverOptions::num_threads: every shard runs
+// its refills on max(1, T / shards) workers, so shard 0's stalls delay
+// only shard 0's windows.
 //
 // --json emits one record per path (schema: bench/BENCH.md) with extras
 // slice_p50_ms / slice_p99_ms / requests / deadline_cuts / emitted;
@@ -117,8 +121,8 @@ int main(int argc, char** argv) {
   std::uint64_t stall_ms = 30;
   std::uint64_t deadline_ms = 20;
   ResolverOptions options;
+  options.num_threads = 4;
   options.num_shards = 4;
-  options.lookahead = 2;
   options.budget = 20000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
@@ -131,8 +135,6 @@ int main(int argc, char** argv) {
       options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      options.lookahead = std::strtoul(argv[i] + 12, nullptr, 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--threads=T] [--shards=N] [--lookahead=L] [--budget=N] "
+          "[--threads=T] [--shards=N] [--budget=N] "
           "[--batch=B] [--stall-ms=MS] [--deadline-ms=MS] [--repeat=R] "
           "[--json=PATH]\n",
           argv[0]);
@@ -171,12 +173,12 @@ int main(int argc, char** argv) {
   }
   const ProfileStore& store = dataset.value().store;
   std::printf(
-      "dataset %s: %zu profiles (scale %.2f), method %s, shards %zu, "
-      "lookahead %zu, budget %llu, batch %llu, stall %llu ms, deadline "
+      "dataset %s: %zu profiles (scale %.2f), method %s, threads %zu, "
+      "shards %zu, budget %llu, batch %llu, stall %llu ms, deadline "
       "%llu ms, fault injection %s\n",
       dataset.value().name.c_str(), store.size(), scale,
-      std::string(ToString(*method)).c_str(), options.num_shards,
-      options.lookahead, static_cast<unsigned long long>(options.budget),
+      std::string(ToString(*method)).c_str(), options.num_threads,
+      options.num_shards, static_cast<unsigned long long>(options.budget),
       static_cast<unsigned long long>(batch),
       static_cast<unsigned long long>(stall_ms),
       static_cast<unsigned long long>(deadline_ms),
@@ -235,8 +237,7 @@ int main(int argc, char** argv) {
         dataset.value().name,  scale,
         options.num_threads,   path.name,
         best.drain.wall_ms,    speedup,
-        options.num_shards,    options.lookahead,
-        static_cast<std::size_t>(batch)};
+        options.num_shards,    static_cast<std::size_t>(batch)};
     record.extras.emplace_back("slice_p50_ms", p50);
     record.extras.emplace_back("slice_p99_ms", p99);
     record.extras.emplace_back("requests",

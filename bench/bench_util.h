@@ -116,8 +116,6 @@ struct JsonRecord {
   double speedup = 1.0;
   /// Hash shards of a ShardedEngine run; 1 for unsharded paths.
   std::size_t shards = 1;
-  /// Emission pipeline lookahead of the run; 0 for serial-emission paths.
-  std::size_t lookahead = 0;
   /// ResolverSession request size of a session-batched drain
   /// (bench_resolver_session); 0 for un-batched / non-session paths.
   std::size_t batch_size = 0;
@@ -179,11 +177,11 @@ inline bool WriteJsonRecords(const std::string& file,
     const JsonRecord& r = records[i];
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"scale\": %g, \"threads\": %zu, "
-                 "\"shards\": %zu, \"lookahead\": %zu, \"batch_size\": %zu, "
+                 "\"shards\": %zu, \"batch_size\": %zu, "
                  "\"path\": \"%s\", "
                  "\"wall_ms\": %.3f, \"speedup\": %.3f",
                  JsonEscape(r.dataset).c_str(), r.scale, r.threads, r.shards,
-                 r.lookahead, r.batch_size, JsonEscape(r.path).c_str(),
+                 r.batch_size, JsonEscape(r.path).c_str(),
                  r.wall_ms, r.speedup);
     for (const auto& [name, value] : r.extras) {
       std::fprintf(out, ", \"%s\": %.6g", JsonEscape(name).c_str(), value);

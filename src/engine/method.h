@@ -26,8 +26,8 @@ enum class MethodId {
 std::string_view ToString(MethodId id);
 
 /// True for the Comparison-List methods (PBS, PPS), whose emitters expose
-/// the refill-batch boundary (BatchSource) the emission pipeline needs.
-/// ResolverOptions::lookahead has no effect on the other methods.
+/// their refills (BatchSource), so the engine runs them on num_threads
+/// workers; the other methods emit inline.
 bool MethodHasBatchRefills(MethodId id);
 
 /// Inverse of ToString ("PPS", "SA-PSN", ...); nullopt for unknown names.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/macros.h"
-#include "obs/fault_injection.h"
 #include "progressive/ls_psn.h"
 #include "progressive/psn.h"
 #include "progressive/sa_psn.h"
@@ -60,8 +59,7 @@ std::optional<MethodId> ParseMethodId(std::string_view name) {
 }
 
 ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
-                                     EngineConfig options,
-                                     ThreadPool* emission_pool)
+                                     EngineConfig options)
     : options_(std::move(options)) {
   const obs::Stopwatch init_watch;
   if (options_.num_threads == 0) options_.num_threads = 1;
@@ -147,53 +145,29 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   stats_.phases.push_back({"method_build", 0, method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
 
-  // Emission pipeline (lookahead > 0): run the method's refills on a pool
-  // worker, bounded `lookahead` batches ahead of Next(). Only the
-  // batch-refilling methods expose the refill boundary; the rest keep the
-  // serial path regardless of the option.
-  batch_source_ = dynamic_cast<BatchSource*>(inner_.get());
-  fault_site_ = options_.instance_label.empty()
-                    ? "refill"
-                    : "refill." + options_.instance_label;
-  if (options_.lookahead > 0 && batch_source_ != nullptr) {
-    if (emission_pool == nullptr) {
-      owned_emission_pool_ = std::make_unique<ThreadPool>(1);
-      emission_pool = owned_emission_pool_.get();
-      if (scope.enabled()) {
-        owned_emission_pool_->set_dropped_exceptions_counter(
-            scope.counter("pool.dropped_exceptions"));
-      }
-    }
-    // Refill batches can be tiny (a PPS profile contributes at most kmax
-    // and usually far fewer comparisons), so the producer coalesces
-    // consecutive refills into one ring slot until it holds at least
-    // kMinBatchItems. Consecutive batches are consumed back to back
-    // anyway, so concatenation keeps the serial order while amortizing
-    // the per-slot handoff to once per ~kMinBatchItems emissions.
-    constexpr std::size_t kMinBatchItems = 256;
+  // The batch methods' refills run on num_threads workers, in windows of
+  // consecutive cursors handed to Next() strictly in cursor order.
+  if (const auto* source = dynamic_cast<const BatchSource*>(inner_.get());
+      source != nullptr) {
     if (scope.enabled()) {
-      pipeline_metrics_.batches = scope.counter("pipeline.batches");
-      pipeline_metrics_.producer_stalls =
+      refill_metrics_.batches = scope.counter("pipeline.batches");
+      refill_metrics_.producer_stalls =
           scope.counter("pipeline.producer_stalls");
-      pipeline_metrics_.consumer_waits =
+      refill_metrics_.consumer_waits =
           scope.counter("pipeline.consumer_waits");
-      pipeline_metrics_.refill_ns = scope.histogram("pipeline.refill_ns");
-      pipeline_metrics_.ring_occupancy =
+      refill_metrics_.refill_ns = scope.histogram("pipeline.refill_ns");
+      refill_metrics_.ring_occupancy =
           scope.histogram("pipeline.ring_occupancy");
     }
-    pipeline_ = std::make_unique<EmissionPipeline<ComparisonList>>(
-        options_.lookahead,
-        [source = batch_source_,
-         scratch = ComparisonList()](ComparisonList& out) mutable {
-          out.Clear();
-          do {
-            if (!source->ProduceBatch(scratch)) break;
-            out.AppendFrom(scratch);
-          } while (out.remaining() < kMinBatchItems);
-          return !out.Empty();
+    refills_ = std::make_unique<RefillMap>(
+        source->num_refills(), options_.num_threads,
+        [source](std::size_t k, RefillScratch& scratch, ComparisonList& out) {
+          source->RefillAt(k, scratch, out);
         },
-        scope.enabled() ? &pipeline_metrics_ : nullptr, fault_site_);
-    pipeline_->Start(*emission_pool);
+        scope.enabled() ? &refill_metrics_ : nullptr,
+        options_.instance_label.empty()
+            ? "refill"
+            : "refill." + options_.instance_label);
   }
 
   stats_.init_seconds = init_watch.ElapsedSeconds();
@@ -204,7 +178,7 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   }
 }
 
-PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
+PullStatus ProgressiveEngine::Poison(std::size_t refill,
                                      std::exception_ptr error) {
   std::string what = "unknown error";
   try {
@@ -215,80 +189,47 @@ PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
   }
   const std::string& label = options_.instance_label;
   status_ = Status::Internal(
-      "refill producer failed (" + (label.empty() ? "engine" : label) +
-      ", batch " + std::to_string(batch_index) + "): " + what);
+      "refill failed (" + (label.empty() ? "engine" : label) + ", batch " +
+      std::to_string(refill) + "): " + what);
   return PullStatus::kError;
-}
-
-PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
-                                            const CancelToken& token) {
-  // front_ caches the slot being drained so the ring (and its mutex) is
-  // only touched once per batch, not once per comparison.
-  while (front_ == nullptr || front_->Empty()) {
-    if (front_ != nullptr) {
-      pipeline_->PopFront();  // batch drained: recycle the slot
-      front_ = nullptr;
-    }
-    bool expired = false;
-    front_ = pipeline_->FrontUntil(token, &expired);
-    if (front_ == nullptr) {
-      if (expired) return PullStatus::kCancelled;
-      // End of stream — clean exhaustion or a contained producer death.
-      EmissionPipelineError error = pipeline_->error();
-      if (error.exception != nullptr) {
-        return Poison(error.batch_index, std::move(error.exception));
-      }
-      return PullStatus::kExhausted;
-    }
-  }
-  out = front_->PopFirst();
-  return PullStatus::kOk;
-}
-
-PullStatus ProgressiveEngine::SerialPull(Comparison& out,
-                                         const CancelToken& token) {
-  if (batch_source_ != nullptr) {
-    // Inline-refill reference path of the batch methods: identical
-    // sequence to inner_->Next() per the BatchSource contract, but with
-    // the cancellation check and failure containment at the refill
-    // boundary (a refill is the unit of work a token can skip without
-    // corrupting method state).
-    while (serial_batch_.Empty()) {
-      if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
-      try {
-        SPER_FAULT_HIT(fault_site_);
-        if (!batch_source_->ProduceBatch(serial_batch_)) {
-          return PullStatus::kExhausted;
-        }
-        ++serial_batch_index_;
-      } catch (...) {
-        return Poison(serial_batch_index_, std::current_exception());
-      }
-    }
-    out = serial_batch_.PopFirst();
-    return PullStatus::kOk;
-  }
-  // Sort-based methods: every Next() is one bounded unit of work.
-  if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
-  try {
-    std::optional<Comparison> next = inner_->Next();
-    if (!next.has_value()) return PullStatus::kExhausted;
-    out = *next;
-    return PullStatus::kOk;
-  } catch (...) {
-    return Poison(serial_batch_index_, std::current_exception());
-  }
 }
 
 PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
                                              const CancelToken& token) {
-  return pipeline_ != nullptr ? PipelinedPull(out, token)
-                              : SerialPull(out, token);
+  if (refills_ == nullptr) {
+    // Sort-based methods: every Next() is one bounded unit of work.
+    if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
+    try {
+      std::optional<Comparison> next = inner_->Next();
+      if (!next.has_value()) return PullStatus::kExhausted;
+      out = *next;
+      return PullStatus::kOk;
+    } catch (...) {
+      return Poison(emitted(), std::current_exception());
+    }
+  }
+  // window_ caches the window being drained so the map (and its mutex)
+  // is only touched once per window, not once per comparison.
+  while (window_ == nullptr || window_->Empty()) {
+    bool expired = false;
+    window_ = refills_->Next(token, &expired);
+    if (window_ == nullptr) {
+      if (expired) return PullStatus::kCancelled;
+      // End of stream: clean exhaustion or a contained refill failure.
+      OrderedMapError error = refills_->error();
+      if (error.exception != nullptr) {
+        return Poison(error.index, std::move(error.exception));
+      }
+      return PullStatus::kExhausted;
+    }
+  }
+  out = window_->PopFirst();
+  return PullStatus::kOk;
 }
 
 void ProgressiveEngine::Drain() {
   drained_ = true;
-  if (pipeline_ != nullptr) pipeline_->Shutdown();
+  if (refills_ != nullptr) refills_->Shutdown();
 }
 
 }  // namespace sper

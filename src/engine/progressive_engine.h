@@ -12,8 +12,7 @@
 #include "engine/engine.h"
 #include "engine/method.h"
 #include "obs/telemetry.h"
-#include "parallel/emission_pipeline.h"
-#include "parallel/thread_pool.h"
+#include "parallel/ordered_map.h"
 #include "progressive/comparison_list.h"
 #include "progressive/emitter.h"
 #include "progressive/gs_psn.h"
@@ -31,11 +30,13 @@
 /// `num_threads` threads (identical output at every thread count), and
 /// enforces an optional pay-as-you-go comparison budget on emission.
 ///
-/// Emission is serial by default (Next() computes refills inline — the
-/// reference path). With `lookahead > 0` the engine runs the emission
-/// pipeline instead: a producer task computes refill batches strictly in
-/// cursor order up to `lookahead` batches ahead, and Next() pops from
-/// completed batches. The emitted sequence is bit-identical either way.
+/// Emission of the batch methods (PBS, PPS) runs on `num_threads` workers
+/// too: the refills are pure functions of their cursor, so an ordered map
+/// (parallel/ordered_map.h) computes windows of consecutive refills in
+/// parallel, a bounded number of windows ahead of the consumer, and Next()
+/// pops from them strictly in cursor order. The emitted sequence is
+/// bit-identical at every thread count. The sort-based methods emit
+/// inline.
 
 namespace sper {
 
@@ -51,8 +52,8 @@ struct EngineConfig {
   MethodId method = MethodId::kPps;
 
   /// Threads used by the initialization phase (token-index build, block
-  /// filtering, edge weighting). Emission is always sequential — it is a
-  /// pull-based stream. 0 means "one thread".
+  /// filtering, edge weighting) and, for the batch methods, the refill
+  /// workers of emission. 0 means "one thread".
   std::size_t num_threads = 1;
 
   /// Maximum number of comparisons Next() will emit; 0 = unlimited. This
@@ -60,18 +61,6 @@ struct EngineConfig {
   /// once exhausted, Next() returns nullopt even if the method could
   /// continue.
   std::uint64_t budget = 0;
-
-  /// Emission pipeline lookahead: how many completed *queue slots* the
-  /// producer task may run ahead of the consumer. A slot holds one or
-  /// more consecutive refill batches — small refills are coalesced until
-  /// a slot carries at least ~256 comparisons — so the bound on buffered
-  /// precomputation is roughly lookahead * max(256, largest refill)
-  /// comparisons, not lookahead individual refills. 0 = the serial
-  /// reference path, where Next() computes refills inline. Applies to
-  /// the batch-refilling methods (PBS, PPS; MethodHasBatchRefills); the
-  /// sort-based methods ignore it. The emitted sequence is bit-identical
-  /// at every setting — only wall-clock changes.
-  std::size_t lookahead = 0;
 
   /// Blocking workflow for the equality-based methods (PBS, PPS).
   TokenWorkflowOptions workflow;
@@ -87,7 +76,7 @@ struct EngineConfig {
   NeighborListOptions list;
   /// Schema-based blocking key; required by kPsn, ignored otherwise.
   SchemaKeyFn schema_key;
-  /// Telemetry sink (phase timers, pipeline health metrics, spans).
+  /// Telemetry sink (phase timers, refill-map health metrics, spans).
   /// Default-constructed = disabled; the emitted stream is bit-identical
   /// either way. ShardedEngine hands each shard a "shard<S>."-prefixed
   /// sub-scope of the resolver's scope.
@@ -109,18 +98,10 @@ struct EngineConfig {
 class ProgressiveEngine : public BudgetedEngine {
  public:
   /// Initialization phase: builds blocking structures (in parallel when
-  /// options.num_threads > 1) and the method emitter; with
-  /// options.lookahead > 0 it also starts the emission pipeline's
-  /// producer. The store must outlive the engine. kPsn requires
-  /// options.schema_key.
-  ///
-  /// `emission_pool` hosts the producer task when given (it must have one
-  /// free worker per pipelined engine for the engine's lifetime, and must
-  /// outlive the engine — ShardedEngine shares one pool across shards);
-  /// nullptr makes the engine own a single-worker pool. Unused when
-  /// lookahead == 0.
-  ProgressiveEngine(const ProfileStore& store, EngineConfig options,
-                    ThreadPool* emission_pool = nullptr);
+  /// options.num_threads > 1) and the method emitter; for the batch
+  /// methods it also starts the options.num_threads refill workers. The
+  /// store must outlive the engine. kPsn requires options.schema_key.
+  ProgressiveEngine(const ProfileStore& store, EngineConfig options);
 
   /// The inner method's acronym, e.g. "PPS".
   std::string_view name() const override { return inner_->name(); }
@@ -128,54 +109,35 @@ class ProgressiveEngine : public BudgetedEngine {
   /// A plain engine serves one logical shard.
   std::size_t num_shards() const override { return 1; }
 
-  /// Stops the stream: shuts down the emission pipeline (joining its
-  /// producer task) and flips the engine to exhausted. Idempotent.
+  /// Stops the stream: stops and joins the refill workers and flips the
+  /// engine to exhausted. Idempotent.
   void Drain() override;
 
  private:
-  /// The inner method's next comparison (pipelined or inline refills);
-  /// budget and poison accounting live in BudgetedEngine::Pull().
+  /// The inner method's next comparison (off the refill map's windows, or
+  /// inline for the sort-based methods); budget and poison accounting
+  /// live in BudgetedEngine::Pull().
   PullStatus PullUnbudgeted(Comparison& out,
                             const CancelToken& token) override;
 
-  /// Pops the next comparison off the pipeline's completed batches.
-  PullStatus PipelinedPull(Comparison& out, const CancelToken& token);
+  /// Contains a refill or Next() failure: sticky status with instance
+  /// label and refill cursor.
+  PullStatus Poison(std::size_t refill, std::exception_ptr error);
 
-  /// The inline-refill reference path: for the batch methods the engine
-  /// drives ProduceBatch itself (same sequence per the BatchSource
-  /// contract) so the token check, fault seam, and failure containment
-  /// sit at the true refill boundary; sort-based methods pull Next().
-  PullStatus SerialPull(Comparison& out, const CancelToken& token);
-
-  /// Contains a producer/refill failure: sticky status with instance
-  /// label and batch cursor (the satellite fix for "rethrow loses
-  /// origin").
-  PullStatus Poison(std::size_t batch_index, std::exception_ptr error);
+  using RefillMap = OrderedMap<ComparisonList, RefillScratch>;
 
   EngineConfig options_;
   std::unique_ptr<ProgressiveEmitter> inner_;
-  /// inner_ viewed through its refill-batch capability; nullptr for the
-  /// sort-based methods.
-  BatchSource* batch_source_ = nullptr;
-  /// Fault-injection seam name of this engine's refill boundary
-  /// ("refill" or "refill.<instance_label>").
-  std::string fault_site_;
-  /// Registry sinks of the emission pipeline; must be declared before
-  /// pipeline_ (the pipeline holds a pointer to it for its lifetime).
-  EmissionPipelineMetrics pipeline_metrics_;
-  // Members are destroyed in reverse declaration order: the pipeline must
-  // close (and its producer task exit) before the owned pool joins, and
-  // both before inner_ — whose refills the producer runs — is destroyed.
-  std::unique_ptr<ThreadPool> owned_emission_pool_;
-  std::unique_ptr<EmissionPipeline<ComparisonList>> pipeline_;
-  /// The ring slot Next() is draining (owned by the pipeline); caching it
-  /// keeps ring synchronization off the per-comparison path.
-  ComparisonList* front_ = nullptr;
-  /// The serial path's current refill batch (batch methods, lookahead 0);
-  /// persists across cancelled pulls so the stream continues losslessly.
-  ComparisonList serial_batch_;
-  /// Refill batches the serial path has produced (error context).
-  std::size_t serial_batch_index_ = 0;
+  /// Registry sinks of the refill map; declared before refills_, which
+  /// holds a pointer to it for its lifetime.
+  OrderedMapMetrics refill_metrics_;
+  /// The batch methods' refills on num_threads workers; nullptr for the
+  /// sort-based methods. Declared after inner_, so its workers (which run
+  /// inner_'s refills) are joined before inner_ is destroyed.
+  std::unique_ptr<RefillMap> refills_;
+  /// The window Next() is draining (owned by refills_); caching it keeps
+  /// the map's lock off the per-comparison path.
+  ComparisonList* window_ = nullptr;
 };
 
 }  // namespace sper

@@ -21,7 +21,6 @@ EngineConfig ToEngineConfig(const ResolverOptions& options) {
   engine.method = options.method;
   engine.num_threads = options.num_threads;
   engine.budget = options.budget;
-  engine.lookahead = options.lookahead;
   engine.workflow = options.workflow;
   engine.scheme = options.scheme;
   engine.pps_kmax = options.pps_kmax;
@@ -91,11 +90,6 @@ Status ResolverOptions::Validate() const {
     return Status::InvalidArgument(
         "num_shards must be in [1, " + std::to_string(kMaxShards) +
         "], got " + std::to_string(num_shards));
-  }
-  if (lookahead > kMaxLookahead) {
-    return Status::InvalidArgument(
-        "lookahead must be <= " + std::to_string(kMaxLookahead) + ", got " +
-        std::to_string(lookahead));
   }
   if (method == MethodId::kPsn && schema_key == nullptr) {
     return Status::InvalidArgument(
@@ -252,7 +246,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
   std::uint64_t tick = 0;
   while (result.comparisons.size() < want) {
     // The engine checks the token at its own batch boundaries, but a warm
-    // pipeline can serve thousands of pulls without hitting one — this
+    // refill window can serve thousands of pulls without hitting one — this
     // stride check bounds how far past its deadline a request can run.
     if (token.valid() && (tick++ & 15) == 0 && token.cancelled()) {
       record_cut();
@@ -315,7 +309,7 @@ void Resolver::Drain() {
     while (now_serving_ < horizon) cv_.Wait(lock);
   }
   if (!engine_drained_) {
-    engine_->Drain();  // shuts down + joins shard producers
+    engine_->Drain();  // stops + joins the refill workers
     engine_drained_ = true;
     options_.telemetry.RecordSpan("session.drain", watch.start(),
                                   obs::Stopwatch::Now());

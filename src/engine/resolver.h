@@ -32,11 +32,11 @@
 /// makes that the public surface:
 ///
 ///   - `ResolverOptions` is the one configuration struct (method, threads,
-///     shards, lookahead, global budget, method knobs) — validated with a
+///     shards, global budget, method knobs) — validated with a
 ///     clear error `Status` instead of silently falling back;
 ///   - `Resolver::Create(store, options)` picks the implementation (plain
 ///     `ProgressiveEngine`, `ShardedEngine` for `num_shards > 1`, each
-///     optionally running the emission pipeline for `lookahead > 0`) and
+///     running the batch methods' refills on `num_threads` workers) and
 ///     returns it behind the abstract `Engine` interface;
 ///   - `ResolverSession::Resolve(ResolveRequest)` draws a budgeted slice
 ///     off the shared stream under ticketed FIFO admission: concurrent
@@ -44,11 +44,11 @@
 ///     the per-request slices in ticket order is bit-identical to one
 ///     un-batched drain of the same resolver.
 ///
-/// Backpressure: with `lookahead > 0` the engine's emission pipeline keeps
-/// producing refill batches between requests, but only up to the bounded
-/// SPSC ring's `lookahead` slots — a slow consumer never buffers more than
-/// the ring, and a burst of requests is served from batches the producers
-/// already completed (see parallel/emission_pipeline.h).
+/// Backpressure: the refill workers keep producing windows of refills
+/// between requests, but only a constant number of windows per worker
+/// ahead of consumption — a slow consumer never buffers more than that,
+/// and a burst of requests is served from windows the workers already
+/// finished (see parallel/ordered_map.h).
 
 namespace sper {
 
@@ -61,8 +61,10 @@ struct ResolverOptions {
 
   /// Threads for the initialization phase (token-index build, block
   /// filtering, edge weighting; split across shard constructions when
-  /// sharded). Must be in [1, kMaxThreads] — 0 is rejected by Validate()
-  /// rather than silently meaning "one thread".
+  /// sharded) and the refill workers of the batch methods (PBS, PPS; per
+  /// shard max(1, num_threads / num_shards)). The emitted stream is
+  /// bit-identical at every setting. Must be in [1, kMaxThreads] — 0 is
+  /// rejected by Validate() rather than silently meaning "one thread".
   std::size_t num_threads = 1;
 
   /// Hash shards. 1 = plain engine; > 1 partitions the store and serves
@@ -73,13 +75,6 @@ struct ResolverOptions {
   /// Global pay-as-you-go budget: maximum comparisons the resolver will
   /// emit across all requests and drains; 0 = unlimited.
   std::uint64_t budget = 0;
-
-  /// Emission pipeline lookahead (per shard when sharded): how many
-  /// completed refill slots producers may run ahead of consumption; 0 =
-  /// the serial reference path. Applies to the batch-refilling methods
-  /// (PBS, PPS); the sort-based methods ignore it. The emitted stream is
-  /// bit-identical at every setting. Must be <= kMaxLookahead.
-  std::size_t lookahead = 0;
 
   /// Blocking workflow for the equality-based methods (PBS, PPS).
   TokenWorkflowOptions workflow;
@@ -97,7 +92,7 @@ struct ResolverOptions {
   SchemaKeyFn schema_key;
 
   /// Telemetry sink: hand a scope into an obs::Registry to record
-  /// per-phase init timings (per shard when sharded), emission-pipeline
+  /// per-phase init timings (per shard when sharded), refill-map
   /// health, k-way-merge draw balance and per-request session metrics
   /// ("session.queue_wait_ns", "session.service_ns",
   /// "session.slice_comparisons" histograms plus "session.resolve"
@@ -109,7 +104,6 @@ struct ResolverOptions {
   /// Validation bounds (shared with the CLI's strict flag parsing).
   static constexpr std::size_t kMaxThreads = 256;
   static constexpr std::size_t kMaxShards = 1024;
-  static constexpr std::size_t kMaxLookahead = 4096;
 
   /// OK iff the configuration is servable; otherwise an InvalidArgument
   /// Status naming the offending field. Called by Resolver::Create.
@@ -312,7 +306,7 @@ class ResolverSession;
 class Resolver : public ProgressiveEmitter {
  public:
   /// Validates `options`, builds the matching engine (plain for one
-  /// shard, sharded otherwise; pipelined emission when lookahead > 0)
+  /// shard, sharded otherwise)
   /// and wraps it. Returns InvalidArgument without touching the store
   /// when validation fails.
   ///
@@ -366,7 +360,7 @@ class Resolver : public ProgressiveEmitter {
 
   /// Graceful drain: stops admitting new requests, waits until every
   /// already-ticketed request finished (or cut itself at its deadline),
-  /// then drains the engine — shutting down and joining shard producers.
+  /// then drains the engine — stopping and joining its refill workers.
   /// Blocking; idempotent; safe to race with concurrent Serve() calls
   /// (each request is either fully served or cleanly rejected, never
   /// half-drawn). The resolver stays queryable afterwards: Serve()

@@ -49,7 +49,9 @@ ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
 
   // Per-shard engine options: inner engines run unbudgeted (the global
   // budget caps the merged stream) and split the total thread budget
-  // across the shard constructions running concurrently.
+  // across the shard constructions running concurrently. The split also
+  // sizes every shard's refill workers (at least one per non-barren
+  // shard).
   const std::size_t concurrency =
       std::max<std::size_t>(
           1, std::min(shards_.size(), config_.num_threads));
@@ -57,34 +59,6 @@ ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
   inner.budget = 0;
   inner.num_threads =
       std::max<std::size_t>(1, config_.num_threads / concurrency);
-
-  // Parallel shard refills (lookahead > 0, batch-refilling method): a
-  // shared pool hosts every shard's emission-pipeline producer. It needs
-  // one worker per live pipeline — a producer that queues behind another
-  // shard's would never run, and the merge blocks forever on that shard's
-  // first head. Sort-based methods never start a pipeline, so spawning
-  // workers for them would just park S idle threads. The worker-per-shard
-  // requirement also means the pool cannot be shrunk below the pipeline
-  // count, so past kMaxPipelinedShards the engine falls back to serial
-  // refills (always correct, same output) instead of spawning an OS
-  // thread per shard.
-  constexpr std::size_t kMaxPipelinedShards = 64;
-  std::size_t active_shards = 0;
-  for (const StoreShard& shard : shards_) {
-    if (ShardHasCandidates(shard.store)) ++active_shards;
-  }
-  if (inner.lookahead > 0 && MethodHasBatchRefills(inner.method) &&
-      active_shards > 0) {
-    if (active_shards <= kMaxPipelinedShards) {
-      emission_pool_ = std::make_unique<ThreadPool>(active_shards);
-      if (scope.enabled()) {
-        emission_pool_->set_dropped_exceptions_counter(
-            scope.counter("pool.dropped_exceptions"));
-      }
-    } else {
-      inner.lookahead = 0;
-    }
-  }
 
   // Each shard gets a "shard<S>."-prefixed sub-scope, so concurrent
   // shard constructions write disjoint metric names (registry creation is
@@ -100,16 +74,16 @@ ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
   if (concurrency <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (!ShardHasCandidates(shards_[s].store)) continue;
-      engines_[s] = std::make_unique<ProgressiveEngine>(
-          shards_[s].store, shard_options(s), emission_pool_.get());
+      engines_[s] = std::make_unique<ProgressiveEngine>(shards_[s].store,
+                                                        shard_options(s));
     }
   } else {
     ThreadPool pool(concurrency);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (!ShardHasCandidates(shards_[s].store)) continue;
       pool.Submit([this, s, &shard_options] {
-        engines_[s] = std::make_unique<ProgressiveEngine>(
-            shards_[s].store, shard_options(s), emission_pool_.get());
+        engines_[s] = std::make_unique<ProgressiveEngine>(shards_[s].store,
+                                                          shard_options(s));
       });
     }
     pool.Wait();
@@ -205,9 +179,6 @@ void ShardedEngine::Drain() {
   for (std::unique_ptr<ProgressiveEngine>& engine : engines_) {
     if (engine != nullptr) engine->Drain();
   }
-  // With every pipeline shut down the workers are idle; joining them here
-  // (instead of at destruction) is what "graceful drain" promises.
-  emission_pool_.reset();
 }
 
 std::string_view ShardedEngine::name() const {

@@ -14,7 +14,6 @@
 #include "engine/progressive_engine.h"
 #include "obs/telemetry.h"
 #include "parallel/ordered_merge.h"
-#include "parallel/thread_pool.h"
 #include "progressive/emitter.h"
 
 /// \file sharded_engine.h
@@ -23,15 +22,13 @@
 /// shard, and merge the per-shard ranked streams into one global emission
 /// order. Initialization — the expensive blocking / meta-blocking phase —
 /// runs per shard, with the shard constructions themselves fanned out on
-/// the ThreadPool; emission stays a sequential pull-based stream in
+/// the ThreadPool; the merged emission is one pull-based stream in
 /// *original* profile ids.
 ///
-/// With `engine.lookahead > 0` shard refills run *in parallel*: every
-/// shard engine's emission pipeline producer lives on a shared pool (one
-/// worker per non-barren shard), so when the k-way merge pops a shard
-/// head, the refill it triggers is an O(1) pop from that shard's
-/// completed batches — S shards keep S producers busy instead of
-/// serializing every ProcessProfile/ProcessBlock on the merge thread.
+/// Shard refills run *in parallel*: every shard engine runs its refills on
+/// its own max(1, num_threads / S) workers (ProgressiveEngine), so when
+/// the k-way merge pops a shard head, the refill it triggers is usually a
+/// pop from that shard's finished windows.
 ///
 /// Determinism contract: the merged stream depends only on (store,
 /// options.num_shards, engine options) — never on thread count or timing.
@@ -61,13 +58,10 @@ class ShardedEngine : public BudgetedEngine {
   /// the sharded level: `config.budget` is the *global* pay-as-you-go
   /// budget across all shards (inner engines run unbudgeted; the merged
   /// stream is capped); `config.num_threads` is the total thread budget
-  /// for *initialization* — shard initializations run concurrently and
-  /// split it evenly; `config.lookahead` applies per shard and turns on
-  /// the parallel refills described above, using one additional producer
-  /// thread per non-barren shard (not counted against num_threads, and
-  /// capped: past 64 non-barren shards the engine silently falls back to
-  /// serial refills rather than spawn an OS thread per shard — the
-  /// emitted stream is identical either way).
+  /// — shard initializations run concurrently and split it evenly, and
+  /// each non-barren shard engine gets max(1, num_threads / S) refill
+  /// workers (so at least one thread per such shard; the emitted stream
+  /// is identical at every thread count).
   ShardedEngine(const ProfileStore& store, EngineConfig config,
                 std::size_t num_shards);
 
@@ -77,8 +71,8 @@ class ShardedEngine : public BudgetedEngine {
   /// Number of shards (== options.num_shards, at least 1).
   std::size_t num_shards() const override { return shards_.size(); }
 
-  /// Stops the stream: drains every shard engine (shutting down its
-  /// emission pipeline) and joins the shared producer pool. Idempotent.
+  /// Stops the stream: drains every shard engine, joining its refill
+  /// workers. Idempotent.
   void Drain() override;
 
  private:
@@ -92,12 +86,6 @@ class ShardedEngine : public BudgetedEngine {
 
   EngineConfig config_;
   std::vector<StoreShard> shards_;
-  // Hosts the per-shard emission-pipeline producers (lookahead > 0): one
-  // worker per non-barren shard, so no producer ever waits for a worker —
-  // the merge would deadlock waiting on a head no worker is computing.
-  // Declared before engines_ so it is destroyed (joined) after every
-  // engine has shut its pipeline down.
-  std::unique_ptr<ThreadPool> emission_pool_;
   std::vector<std::unique_ptr<ProgressiveEngine>> engines_;
   KWayMerge<Comparison, ByWeightDesc> merge_;
   /// Per-*stream* draw counters ("merge.shard<S>.draws", stream order —

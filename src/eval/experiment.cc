@@ -13,7 +13,6 @@ ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
   options.num_threads = config.num_threads;
   options.num_shards = config.num_shards;
   options.budget = config.budget;
-  options.lookahead = config.lookahead;
   options.workflow = config.workflow;
   options.scheme = config.scheme;
   options.pps_kmax = config.pps_kmax;
@@ -31,7 +30,6 @@ ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
   options.num_threads =
       std::min(options.num_threads, ResolverOptions::kMaxThreads);
   options.num_shards = std::min(options.num_shards, ResolverOptions::kMaxShards);
-  options.lookahead = std::min(options.lookahead, ResolverOptions::kMaxLookahead);
   return options;
 }
 

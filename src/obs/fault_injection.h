@@ -23,9 +23,9 @@
 /// failing run replays exactly.
 ///
 /// Instrumented seams (site names are part of the test/bench contract):
-///   - "ring.acquire_slot"        SpscSlotRing producer-side acquire
-///   - "refill" / "refill.<lbl>"  one refill-batch production (per shard
-///                                when sharded, e.g. "refill.shard0")
+///   - "refill" / "refill.<lbl>"  one refill, on the refill worker that
+///                                computes it (per shard when sharded,
+///                                e.g. "refill.shard0")
 ///   - "merge.draw"               one ShardedEngine k-way-merge draw
 ///   - "session.admit"            one Resolver::Serve admission
 ///   - "qos.admit"                one QosAdmissionController::Resolve entry

@@ -22,7 +22,7 @@ namespace sper {
 namespace obs {
 
 /// A monotonic counter, striped across cache lines so concurrent writers
-/// (e.g. one emission-pipeline producer per shard) never contend on one
+/// (e.g. the refill workers of every shard) never contend on one
 /// hot cache line. Each thread hashes to a stripe once (thread_local) and
 /// then increments with one relaxed fetch_add; value() sums the stripes.
 class Counter {

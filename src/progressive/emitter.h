@@ -1,11 +1,15 @@
 #ifndef SPER_PROGRESSIVE_EMITTER_H_
 #define SPER_PROGRESSIVE_EMITTER_H_
 
+#include <cstddef>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "core/comparison.h"
+#include "core/types.h"
 #include "progressive/comparison_list.h"
+#include "progressive/top_k.h"
 
 /// \file emitter.h
 /// The streaming interface every progressive method implements.
@@ -39,25 +43,51 @@ class ProgressiveEmitter {
   virtual std::string_view name() const = 0;
 };
 
-/// Optional capability of the Comparison-List methods (PBS, PPS): exposes
-/// the deterministic refill boundary, so the emission pipeline
-/// (parallel/emission_pipeline.h) can run batch production ahead of
-/// consumption instead of computing refills inline in Next().
-///
-/// Contract: batches must be requested strictly in order by one caller at
-/// a time — a refill mutates method state the following refills depend on
-/// (PPS's checkedEntities, PBS's block cursor). Interleaving ProduceBatch
-/// with Next() on the same emitter is undefined: both advance the same
-/// refill cursor.
+/// Working memory of one refill: the sparse neighborhood accumulator
+/// (weights[] of PPS Algorithm 6), the profiles it touched, and the
+/// bounded top-k buffer that replaces the SortedStack. Every thread that
+/// runs refills owns one; an emitter sizes it from its store on first use,
+/// so each worker allocates it once, in the worker.
+struct RefillScratch {
+  std::vector<double> weights;
+  std::vector<ProfileId> touched;
+  TopKBuffer topk;
+};
+
+/// Capability of the Comparison-List methods (PBS, PPS): the emission
+/// phase as a sequence of refills indexed by a *refill cursor*. Each
+/// refill is a pure function of its cursor — it reads only state fixed by
+/// the initialization phase — so refills may run on any number of threads
+/// at once (one RefillScratch each), and concatenating them in cursor
+/// order is exactly the serial Next() stream. The ordered refill map
+/// (parallel/ordered_map.h) runs them that way for the engine.
 class BatchSource {
  public:
   virtual ~BatchSource() = default;
 
-  /// Fills `out` (previous content discarded) with the next *non-empty*
-  /// refill batch in non-increasing likelihood order. Returns false once
-  /// the method is exhausted. Consuming every batch front to back yields
-  /// exactly the serial Next() sequence.
-  virtual bool ProduceBatch(ComparisonList& out) = 0;
+  /// Number of refill cursors; RefillAt accepts [0, num_refills()).
+  virtual std::size_t num_refills() const = 0;
+
+  /// Appends refill `k` to `out`, in non-increasing likelihood order (it
+  /// may be empty). Const and thread-safe for distinct `scratch`es.
+  virtual void RefillAt(std::size_t k, RefillScratch& scratch,
+                        ComparisonList& out) const = 0;
+
+  /// Serial view: fills `out` (previous content discarded) with the next
+  /// *non-empty* refill, in cursor order. Returns false once the method
+  /// is exhausted. One caller at a time; shares its cursor with the
+  /// emitter's Next(), so do not interleave the two.
+  bool ProduceBatch(ComparisonList& out);
+
+ protected:
+  /// Next() of the refill-based emitters: pops the current serial batch,
+  /// producing the next one when it runs dry.
+  std::optional<Comparison> NextFromRefills();
+
+ private:
+  std::size_t serial_cursor_ = 0;
+  RefillScratch serial_scratch_;
+  ComparisonList serial_batch_;
 };
 
 }  // namespace sper

@@ -17,7 +17,10 @@
 /// cardinality (weight 1/||b||: small blocks carry distinctive keys);
 /// inside every block, repeated comparisons are discarded with the Least
 /// Common Block Index (LeCoBI) test and the survivors are ordered by their
-/// blocking-graph edge weight.
+/// blocking-graph edge weight. Processing a block reads only state fixed by
+/// the initialization phase (the schedule, the Profile Index, the edge
+/// weights), so every refill is a pure function of its block (see
+/// BatchSource).
 
 namespace sper {
 
@@ -26,7 +29,8 @@ struct PbsOptions {
   /// Blocking-graph scheme used to order comparisons inside a block.
   WeightingScheme scheme = WeightingScheme::kArcs;
   /// Threads for the initialization phase (the kEjs degree pass; the rest
-  /// of PBS initialization is already lazy). Emission stays sequential.
+  /// of PBS initialization is already lazy). Emission threads are the
+  /// engine's: refills are independent, see BatchSource.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("block_scheduling", "edge_weighting").
@@ -46,13 +50,15 @@ class PbsEmitter : public ProgressiveEmitter, public BatchSource {
   /// Emission phase (Algorithm 4): pops the next best comparison of the
   /// current block; when the block's list empties, processes the next
   /// scheduled block. nullopt once every block has been processed.
-  std::optional<Comparison> Next() override;
+  std::optional<Comparison> Next() override { return NextFromRefills(); }
 
-  /// Batch boundary for the emission pipeline: one batch per scheduled
-  /// block, in schedule order (blocks whose comparisons were all
-  /// LeCoBI-filtered are skipped). See BatchSource for the single-caller
-  /// contract.
-  bool ProduceBatch(ComparisonList& out) override;
+  /// One refill per scheduled block, in schedule order.
+  std::size_t num_refills() const override { return scheduled_.size(); }
+
+  /// Processes scheduled block `k` (empty when every comparison of the
+  /// block was LeCoBI-filtered); `scratch` is unused.
+  void RefillAt(std::size_t k, RefillScratch& scratch,
+                ComparisonList& out) const override;
 
   std::string_view name() const override { return "PBS"; }
 
@@ -61,15 +67,13 @@ class PbsEmitter : public ProgressiveEmitter, public BatchSource {
 
  private:
   /// Algorithm 3 lines 4-12 for block `id`: LeCoBI-filter and weight its
-  /// comparisons into `out`.
-  void ProcessBlock(BlockId id, ComparisonList& out);
+  /// comparisons, appended to `out`.
+  void ProcessBlock(BlockId id, ComparisonList& out) const;
 
   const ProfileStore& store_;
   BlockCollection scheduled_;
   ProfileIndex index_;
   EdgeWeighter weighter_;
-  BlockId next_block_ = 0;
-  ComparisonList comparisons_;
 };
 
 }  // namespace sper

@@ -1,6 +1,7 @@
 #include "progressive/pps.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -27,10 +28,8 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
       weighter_(blocks_, index_, store, options.scheme,
                 options.num_threads, options.telemetry),
       options_(options),
-      checked_(store.size(), false),
-      weights_(store.size(), 0.0) {
+      rank_(store.size(), UINT32_MAX) {
   obs::ScopedPhase phase(options_.telemetry, "profile_scheduling");
-  touched_.reserve(store.size());
   // Algorithm 5: one pass over every node's neighborhood computes the
   // duplication likelihood (mean incident-edge weight) and the node's
   // top-weighted comparison. Nodes are independent, so the pass runs over
@@ -125,73 +124,62 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
               if (a.second != b.second) return a.second > b.second;
               return a.first < b.first;
             });
-  initial_.Reserve(top_comparisons.size());
-  for (const Comparison& comparison : top_comparisons) {
-    initial_.Add(comparison);
+  for (std::size_t p = 0; p < sorted_profiles_.size(); ++p) {
+    rank_[sorted_profiles_[p].first] = static_cast<std::uint32_t>(p);
   }
-  initial_.SortDescending();
+  std::sort(top_comparisons.begin(), top_comparisons.end(), ByWeightDesc());
+  initial_.assign(top_comparisons.begin(), top_comparisons.end());
 }
 
-void PpsEmitter::ProcessProfile(ProfileId i, ComparisonList& out) {
-  checked_[i] = true;
+void PpsEmitter::RefillAt(std::size_t k, RefillScratch& scratch,
+                          ComparisonList& out) const {
+  if (k == 0) {
+    out.AppendShared(initial_);
+    return;
+  }
+  const ProfileId i = sorted_profiles_[k - 1].first;
+  const std::uint32_t rank_i = static_cast<std::uint32_t>(k - 1);
+  std::vector<double>& weights = scratch.weights;
+  std::vector<ProfileId>& touched = scratch.touched;
+  if (weights.size() != store_.size()) weights.assign(store_.size(), 0.0);
   // Gather unchecked comparable neighbors (Algorithm 6 lines 9-14): a
-  // neighbor that was processed earlier had higher duplication likelihood,
-  // and its Kmax best comparisons already covered this pair with more
-  // reliable evidence. Partition-aware like the init pass; checked_[i] is
-  // set above, so the Dirty scan needs no separate j != i test.
+  // neighbor of smaller rank was processed earlier, had higher
+  // duplication likelihood, and its Kmax best comparisons already covered
+  // this pair with more reliable evidence. Partition-aware like the init
+  // pass; rank_[i] == rank_i, so the Dirty scan needs no separate j != i
+  // test.
   if (blocks_.er_type() == ErType::kCleanClean) {
     for (BlockId b : index_.BlocksOf(i)) {
       const double share = weighter_.BlockContribution(b);
       for (ProfileId j : blocks_.OppositeSource(b, i)) {
-        if (checked_[j]) continue;
-        if (weights_[j] == 0.0) touched_.push_back(j);
-        weights_[j] += share;
+        if (rank_[j] <= rank_i) continue;
+        if (weights[j] == 0.0) touched.push_back(j);
+        weights[j] += share;
       }
     }
   } else {
     for (BlockId b : index_.BlocksOf(i)) {
       const double share = weighter_.BlockContribution(b);
       for (ProfileId j : blocks_.members(b)) {
-        if (checked_[j]) continue;
-        if (weights_[j] == 0.0) touched_.push_back(j);
-        weights_[j] += share;
+        if (rank_[j] <= rank_i) continue;
+        if (weights[j] == 0.0) touched.push_back(j);
+        weights[j] += share;
       }
     }
   }
 
   // SortedStack (lines 15-18): the reusable bounded top-k buffer keeps
   // the Kmax top-weighted comparisons without a per-refill heap
-  // allocation; its ascending drain is reversed into the list (ByWeightDesc
-  // is total, so the result is bit-identical to the min-heap reference).
-  topk_.Reset(options_.kmax);
-  for (ProfileId j : touched_) {
-    const double w = weighter_.Finalize(i, j, weights_[j]);
-    topk_.Push(Comparison(i, j, w));
-    weights_[j] = 0.0;
+  // allocation; its ascending drain is appended reversed (ByWeightDesc is
+  // total, so the result is bit-identical to the min-heap reference).
+  TopKBuffer& topk = scratch.topk;
+  topk.Reset(options_.kmax);
+  for (ProfileId j : touched) {
+    topk.Push(Comparison(i, j, weighter_.Finalize(i, j, weights[j])));
+    weights[j] = 0.0;
   }
-  touched_.clear();
-  out.FillFromAscending(topk_.SortedAscending());
-}
-
-bool PpsEmitter::ProduceBatch(ComparisonList& out) {
-  for (;;) {
-    if (initial_pending_) {
-      initial_pending_ = false;
-      out = std::move(initial_);
-    } else if (cursor_ >= sorted_profiles_.size()) {
-      return false;
-    } else {
-      ProcessProfile(sorted_profiles_[cursor_++].first, out);
-    }
-    if (!out.Empty()) return true;
-  }
-}
-
-std::optional<Comparison> PpsEmitter::Next() {
-  if (comparisons_.Empty() && !ProduceBatch(comparisons_)) {
-    return std::nullopt;
-  }
-  return comparisons_.PopFirst();
+  touched.clear();
+  out.AppendAscending(topk.SortedAscending());
 }
 
 }  // namespace sper

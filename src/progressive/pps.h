@@ -2,6 +2,7 @@
 #define SPER_PROGRESSIVE_PPS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -12,7 +13,6 @@
 #include "obs/telemetry.h"
 #include "progressive/comparison_list.h"
 #include "progressive/emitter.h"
-#include "progressive/top_k.h"
 
 /// \file pps.h
 /// Progressive Profile Scheduling (PPS, paper Sec. 5.2.2, Algorithms 5-6).
@@ -24,6 +24,13 @@
 /// of every node, so the globally best edges are emitted first; during
 /// emission each profile contributes its Kmax best comparisons, skipping
 /// neighbors that were already processed (checkedEntities).
+///
+/// checkedEntities is not state that refills have to thread through one
+/// another: when the profile at Sorted Profile List position p is
+/// processed, exactly the profiles at positions 0..p have been processed.
+/// So a neighbor j counts as checked iff rank(j) <= rank(i), a fact fixed
+/// by the initialization phase, and every refill is a pure function of
+/// its cursor (see BatchSource).
 
 namespace sper {
 
@@ -39,8 +46,9 @@ struct PpsOptions {
   /// configuration).
   std::size_t kmax = 100;
   /// Threads for the initialization phase (per-profile duplication
-  /// likelihoods + top comparisons). Emission stays sequential. The
-  /// emitted sequence is identical at every thread count.
+  /// likelihoods + top comparisons). The emitted sequence is identical at
+  /// every thread count. (Emission threads are the engine's: refills are
+  /// independent, see BatchSource.)
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("edge_weighting", "profile_scheduling").
@@ -60,12 +68,20 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   /// Emission phase (Algorithm 6): pops from the Comparison List; when it
   /// empties, processes the next profile of the Sorted Profile List,
   /// gathering its Kmax best comparisons among not-yet-checked neighbors.
-  std::optional<Comparison> Next() override;
+  std::optional<Comparison> Next() override { return NextFromRefills(); }
 
-  /// Batch boundary for the emission pipeline: the initial top-comparison
-  /// list first, then one batch per Sorted Profile List entry (empty
-  /// refills skipped). See BatchSource for the single-caller contract.
-  bool ProduceBatch(ComparisonList& out) override;
+  /// The initial top-comparison list, then one refill per Sorted Profile
+  /// List entry.
+  std::size_t num_refills() const override {
+    return sorted_profiles_.size() + 1;
+  }
+
+  /// Refill 0 is the initial top-comparison list (served in place, not
+  /// copied); refill k >= 1 processes the profile at Sorted Profile List
+  /// position k - 1, gathering its Kmax best comparisons among neighbors
+  /// of larger rank.
+  void RefillAt(std::size_t k, RefillScratch& scratch,
+                ComparisonList& out) const override;
 
   std::string_view name() const override { return "PPS"; }
 
@@ -76,10 +92,6 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   }
 
  private:
-  /// Gathers the Kmax top-weighted comparisons of profile `i` among
-  /// unchecked neighbors into `out`.
-  void ProcessProfile(ProfileId i, ComparisonList& out);
-
   const ProfileStore& store_;
   BlockCollection blocks_;
   ProfileIndex index_;
@@ -87,18 +99,13 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   PpsOptions options_;
 
   std::vector<std::pair<ProfileId, double>> sorted_profiles_;
-  std::size_t cursor_ = 0;  // next Sorted Profile List entry
-  std::vector<bool> checked_;  // checkedEntities of Algorithm 6
-  ComparisonList initial_;  // batch 0: every node's top comparison
-  bool initial_pending_ = true;
-  ComparisonList comparisons_;  // serial-path buffer (Next())
-
-  // Sparse neighborhood accumulator (weights[] of Algorithms 5-6) and the
-  // reusable SortedStack replacement — refill scratch, allocation-free
-  // once warm.
-  std::vector<double> weights_;
-  std::vector<ProfileId> touched_;
-  TopKBuffer topk_;
+  /// Sorted Profile List position of every profile; UINT32_MAX for the
+  /// profiles without neighbors (never anyone's neighbor, never checked).
+  /// Replaces the checkedEntities array of Algorithm 6.
+  std::vector<std::uint32_t> rank_;
+  /// Refill 0: every node's top comparison, deduplicated, in emission
+  /// order.
+  std::vector<Comparison> initial_;
 };
 
 }  // namespace sper

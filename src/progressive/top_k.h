@@ -42,7 +42,7 @@ class TopKBuffer {
 
   /// Finalizes the accumulation: the kept comparisons sorted *ascending*
   /// (worst first) — the drain order of the bounded min-heap this buffer
-  /// replaces, which ComparisonList::FillFromAscending reverses in O(k).
+  /// replaces, which ComparisonList::AppendAscending reverses in O(k).
   /// Valid until the next Reset()/Push().
   std::span<const Comparison> SortedAscending() {
     if (items_.size() > k_) Shrink();

@@ -90,32 +90,46 @@ TEST(ComparisonListTest, ClearResetsState) {
   EXPECT_EQ(list.remaining(), 0u);
 }
 
-TEST(ComparisonListTest, FillFromAscendingReversesInsteadOfSorting) {
+TEST(ComparisonListTest, AppendAscendingReversesInsteadOfSorting) {
   const std::vector<Comparison> ascending = {
       Comparison(0, 3, 0.1), Comparison(1, 2, 0.5), Comparison(0, 1, 0.9)};
   ComparisonList list;
-  list.Add(Comparison(7, 8, 42.0));  // replaced by the fill
-  list.FillFromAscending(ascending);
-  EXPECT_EQ(list.remaining(), 3u);
+  list.Add(Comparison(7, 8, 42.0));  // earlier refill: stays in front
+  list.AppendAscending(ascending);
+  EXPECT_EQ(list.remaining(), 4u);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.9);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.5);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.1);
   EXPECT_TRUE(list.Empty());
 }
 
-TEST(ComparisonListTest, AppendFromConcatenatesRemainingItems) {
-  ComparisonList batch;
-  batch.Add(Comparison(0, 1, 0.9));
-  batch.Add(Comparison(0, 2, 0.8));
-  batch.SortDescending();
-  batch.PopFirst();  // already-popped items must not be re-appended
-
+TEST(ComparisonListTest, SortDescendingSortsOnlyTheAppendedTail) {
   ComparisonList list;
-  list.Add(Comparison(4, 5, 0.95));
-  list.AppendFrom(batch);
-  EXPECT_EQ(list.remaining(), 2u);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.95);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.8);
+  list.Add(Comparison(0, 1, 0.1));  // refill 1: one comparison
+  const std::size_t from = list.size();
+  list.Add(Comparison(0, 2, 0.5));  // refill 2, unsorted
+  list.Add(Comparison(1, 2, 0.9));
+  list.SortDescending(from);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.1);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.9);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.5);
+}
+
+TEST(ComparisonListTest, AppendSharedServesInPlaceThenAppends) {
+  const std::vector<Comparison> shared = {Comparison(0, 1, 0.9),
+                                          Comparison(0, 2, 0.8)};
+  ComparisonList list;
+  list.AppendShared(shared);  // empty list: served in place
+  list.Add(Comparison(4, 5, 0.7));
+  list.AppendShared(shared);  // non-empty list: copied after the content
+  EXPECT_EQ(list.size(), 5u);
+  std::vector<double> weights;
+  while (!list.Empty()) weights.push_back(list.PopFirst().weight);
+  EXPECT_EQ(weights, (std::vector<double>{0.9, 0.8, 0.7, 0.9, 0.8}));
+  list.Clear();
+  EXPECT_EQ(list.size(), 0u);
+  EXPECT_TRUE(list.Empty());
 }
 
 // ------------------------------------------------------------- TopKBuffer

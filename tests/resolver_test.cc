@@ -6,7 +6,7 @@
 // - ProgressiveEngine and ShardedEngine are interchangeable behind the
 //   abstract Engine interface (budget, stats, stream);
 // - ResolverSession slices concatenate bit-identically to one un-batched
-//   drain at every (method, ER type, shards, lookahead, batch size)
+//   drain at every (method, ER type, shards, threads, batch size)
 //   combination, including under concurrent ticketed FIFO admission;
 // - per-request pay-as-you-go: zero-budget requests buy nothing, the
 //   global budget exhausts mid-slice with the flag set.
@@ -92,11 +92,6 @@ TEST(ResolverOptionsTest, CreateRejectsInvalidOptionsWithClearStatus) {
   ResolverOptions too_many_shards;
   too_many_shards.num_shards = ResolverOptions::kMaxShards + 1;
   EXPECT_EQ(Resolver::Create(store, too_many_shards).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ResolverOptions huge_lookahead;
-  huge_lookahead.lookahead = ResolverOptions::kMaxLookahead + 1;
-  EXPECT_EQ(Resolver::Create(store, huge_lookahead).status().code(),
             StatusCode::kInvalidArgument);
 
   // PSN without a schema key used to abort inside the engine; the factory
@@ -185,11 +180,11 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
         Drain(MustCreate(store, options).get(), 1000000);
     ASSERT_FALSE(reference.empty());
 
-    for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
+    for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                                 std::size_t{256}}) {
         ResolverOptions batched = options;
-        batched.lookahead = lookahead;
+        batched.num_threads = num_threads;
         std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
         ResolverSession session = resolver->OpenSession();
         std::vector<Comparison> concatenated;
@@ -205,7 +200,7 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
           }
         }
         SCOPED_TRACE("shards=" + std::to_string(num_shards) +
-                     " lookahead=" + std::to_string(lookahead) +
+                     " threads=" + std::to_string(num_threads) +
                      " batch=" + std::to_string(batch));
         ExpectSameSequence(concatenated, reference);
       }

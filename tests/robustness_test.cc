@@ -8,14 +8,14 @@
 // - cancellation and deadlines are *advisory*: a cut request returns its
 //   partial slice with the flag set and nothing torn down — the next
 //   ticket continues the stream bit-identically, at every (method,
-//   shards, lookahead) combination;
+//   shards, threads) combination;
 // - Drain() stops admitting, lets in-flight tickets finish, and is safe
 //   to race with concurrent Serve(): every request is either fully
 //   served or cleanly rejected with FailedPrecondition, and the served
 //   slices in ticket order form an exact prefix of the un-batched drain;
 // - the QoS admission controller (src/serving/qos.h) composes with all
 //   of the above: shed-then-retry clients still reassemble the exact
-//   stream at every (method, shards, lookahead) combination, batch
+//   stream at every (method, shards, threads) combination, batch
 //   requests wait a bounded number of dispatches under sustained
 //   interactive load (smooth WRR), doomed requests are evicted without
 //   consuming stream capacity while barely-feasible ones are served, and
@@ -91,20 +91,20 @@ std::unique_ptr<Resolver> MustCreate(const ProfileStore& store,
   return std::move(resolver).value();
 }
 
-/// The (method, shards, lookahead) matrix every continuation guarantee is
+/// The (method, shards, threads) matrix every continuation guarantee is
 /// checked against — the same coverage the determinism suite uses.
 struct ServingConfig {
   MethodId method;
   std::size_t num_shards;
-  std::size_t lookahead;
+  std::size_t num_threads;
 };
 
 std::vector<ServingConfig> ServingMatrix() {
   std::vector<ServingConfig> matrix;
   for (MethodId method : {MethodId::kPps, MethodId::kPbs}) {
     for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-        matrix.push_back({method, shards, lookahead});
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        matrix.push_back({method, shards, threads});
       }
     }
   }
@@ -114,7 +114,7 @@ std::vector<ServingConfig> ServingMatrix() {
 std::string TraceOf(const ServingConfig& config) {
   return std::string(ToString(config.method)) +
          " shards=" + std::to_string(config.num_shards) +
-         " lookahead=" + std::to_string(config.lookahead);
+         " threads=" + std::to_string(config.num_threads);
 }
 
 // ---------------------------------------------------------- cancel tokens
@@ -187,7 +187,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ResolverOptions options;
     options.method = config.method;
     options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
     const std::vector<Comparison> reference =
@@ -292,7 +292,7 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
     ResolverOptions options;
     options.method = config.method;
     options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
     const std::vector<Comparison> reference =
@@ -388,7 +388,7 @@ TEST(ResolverDrainTest, ConcurrentDoubleDrainBothReturn) {
 
 // PR 8 lock-discipline regression test, written to be TSan-visible: every
 // mutex-guarded structure annotated in this PR (resolver admission state,
-// registry metric maps and span log, pipeline done-flag, thread-pool
+// registry metric maps and span log, refill-map state, thread-pool
 // queue) is exercised from multiple threads at once — concurrent Serve()
 // clients, a concurrent Drain(), and a reader snapshotting the live
 // Registry mid-serve. Under -fsanitize=thread any guarded field touched
@@ -400,7 +400,7 @@ TEST(ResolverDrainTest, ConcurrentServeDrainAndSnapshotAreRaceFree) {
   ResolverOptions options;
   options.method = MethodId::kPps;
   options.num_shards = 2;
-  options.lookahead = 2;
+  options.num_threads = 2;
   options.budget = 1500;
   options.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
@@ -453,7 +453,7 @@ void AwaitQueueDepth(const serving::QosAdmissionController& controller,
 
 // A rate-limited client that backs off by exactly the controller's
 // retry_after_ms hint and retries still reassembles the bit-identical
-// stream at every (method, shards, lookahead) combination — sheds never
+// stream at every (method, shards, threads) combination — sheds never
 // consume stream capacity and never reorder it.
 TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
   const ProfileStore store = DirtyStore();
@@ -462,7 +462,7 @@ TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
     ResolverOptions options;
     options.method = config.method;
     options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = 600;
     const std::vector<Comparison> reference =
         Drain(MustCreate(store, options).get(), 1000000);
@@ -546,14 +546,14 @@ TEST(QosRobustnessTest, BatchWaitIsBoundedUnderSustainedInteractiveLoad) {
   EXPECT_EQ(batch_tickets[1], 7u);
 }
 
-// Doomed eviction composes with a sharded, pipelined engine: the evicted
+// Doomed eviction composes with a sharded, multi-worker engine: the evicted
 // request spends no stream capacity, so the barely-feasible one that
 // follows it still reads the exact head of the stream.
 TEST(QosRobustnessTest, DoomedEvictionVsBarelyMakesDeadline) {
   const ProfileStore store = DirtyStore();
   ResolverOptions options;
   options.num_shards = 2;
-  options.lookahead = 2;
+  options.num_threads = 2;
   const std::vector<Comparison> reference =
       Drain(MustCreate(store, options).get(), 32);
   ASSERT_EQ(reference.size(), 32u);
@@ -684,8 +684,8 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
   const ProfileStore store = DirtyStore();
-  for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("lookahead=" + std::to_string(lookahead));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::FaultRegistry::Global().Reset();
 
     // Shard 0's second refill throws; the other shards stay healthy.
@@ -697,7 +697,7 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 
     ResolverOptions options;
     options.num_shards = 4;
-    options.lookahead = lookahead;
+    options.num_threads = threads;
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
     ResolverSession session = resolver->OpenSession();
 
@@ -735,13 +735,13 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
   const ProfileStore store = DirtyStore();
   constexpr std::uint64_t kBudget = 400;
-  for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("lookahead=" + std::to_string(lookahead));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::FaultRegistry::Global().Reset();
 
     ResolverOptions options;
     options.budget = kBudget;
-    options.lookahead = lookahead;
+    options.num_threads = threads;
     const std::vector<Comparison> reference =
         Drain(MustCreate(store, options).get(), 1000000);
     ASSERT_FALSE(reference.empty());
@@ -796,14 +796,13 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   probe.action = obs::FaultPlan::Action::kStall;
   probe.stall_ms = 0;
   for (const char* site :
-       {"ring.acquire_slot", "refill.shard0", "merge.draw",
-        "session.admit"}) {
+       {"refill.shard0", "merge.draw", "session.admit"}) {
     obs::FaultRegistry::Global().Arm(site, probe);
   }
 
   ResolverOptions options;
   options.num_shards = 2;
-  options.lookahead = 2;
+  options.num_threads = 2;
   options.budget = 600;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
   ResolverSession session = resolver->OpenSession();
@@ -817,7 +816,6 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   resolver->Drain();
 
   obs::FaultRegistry& registry = obs::FaultRegistry::Global();
-  EXPECT_GT(registry.hits("ring.acquire_slot"), 0u);
   EXPECT_GT(registry.hits("refill.shard0"), 0u);
   EXPECT_GT(registry.hits("merge.draw"), 0u);
   EXPECT_GT(registry.hits("session.admit"), 0u);

@@ -1,7 +1,7 @@
 // Telemetry must be a pure observer: attaching a TelemetryScope to a
 // resolver records metrics and spans but MUST NOT perturb the emitted
 // comparison stream — bit-identical with telemetry on or off at every
-// serving shape (plain/sharded, serial/pipelined emission). These tests
+// serving shape (plain/sharded, one or four refill workers). These tests
 // pin that contract for both batch-refilling methods, plus the shape of
 // what gets recorded (per-phase InitStats, session histograms, spans).
 
@@ -46,7 +46,7 @@ void ExpectSameSequence(const std::vector<Comparison>& a,
 struct Shape {
   MethodId method;
   std::size_t num_shards;
-  std::size_t lookahead;
+  std::size_t num_threads;
 };
 
 class TelemetryShapeTest : public ::testing::TestWithParam<Shape> {};
@@ -58,7 +58,7 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
   MethodConfig off;
   off.num_shards = shape.num_shards;
-  off.lookahead = shape.lookahead;
+  off.num_threads = shape.num_threads;
   std::unique_ptr<Resolver> plain =
       MakeResolver(shape.method, dataset.value(), off);
   ASSERT_NE(plain, nullptr);
@@ -76,10 +76,10 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByShape, TelemetryShapeTest,
-    ::testing::Values(Shape{MethodId::kPps, 1, 0}, Shape{MethodId::kPps, 1, 4},
-                      Shape{MethodId::kPps, 4, 0}, Shape{MethodId::kPps, 4, 4},
-                      Shape{MethodId::kPbs, 1, 0}, Shape{MethodId::kPbs, 1, 4},
-                      Shape{MethodId::kPbs, 4, 0},
+    ::testing::Values(Shape{MethodId::kPps, 1, 1}, Shape{MethodId::kPps, 1, 4},
+                      Shape{MethodId::kPps, 4, 1}, Shape{MethodId::kPps, 4, 4},
+                      Shape{MethodId::kPbs, 1, 1}, Shape{MethodId::kPbs, 1, 4},
+                      Shape{MethodId::kPbs, 4, 1},
                       Shape{MethodId::kPbs, 4, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       std::string name(ToString(info.param.method));
@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name + "_shards" + std::to_string(info.param.num_shards) +
-             "_lookahead" + std::to_string(info.param.lookahead);
+             "_threads" + std::to_string(info.param.num_threads);
     });
 
 TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
@@ -185,7 +185,7 @@ TEST(TelemetrySessionTest, PipelineAndMergeMetricsAppearWhenSharded) {
   obs::Registry registry;
   MethodConfig config;
   config.num_shards = 2;
-  config.lookahead = 4;
+  config.num_threads = 4;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
       MakeResolver(MethodId::kPps, dataset.value(), config);
@@ -220,7 +220,7 @@ TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
   MethodConfig config;
-  config.lookahead = 2;
+  config.num_threads = 2;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
       MakeResolver(MethodId::kPps, dataset.value(), config);

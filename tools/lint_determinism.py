@@ -2,8 +2,8 @@
 """Repo-specific determinism lint for the sper codebase.
 
 The library's core contract is that emitted comparison streams are
-bit-identical at every thread count, shard count and lookahead setting
-(README "Determinism"). Most violations of that contract come from a
+bit-identical at every thread count and shard count (README
+"Determinism"). Most violations of that contract come from a
 handful of well-known C++ patterns, so this lint bans them outright in
 src/:
 
@@ -21,7 +21,7 @@ src/:
                               one clock.
   DET004 bare-throw           `throw` in producer-thread code (parallel/,
                               progressive/, engine/): producer failures
-                              must be contained (sticky Status / pipeline
+                              must be contained (sticky Status / refill-map
                               error slots), not thrown across threads.
   DET005 banned-strtod        atof/atoi/atol/atoll: locale-sensitive and
                               error-silent number parsing.
@@ -305,7 +305,7 @@ def check_bare_throw(path: str, text: str):
         violations.append(Violation(
             path, line_of(text, m.start()), "DET004",
             "bare 'throw' in producer-thread code; contain the failure "
-            "(sticky Status / pipeline error slot) instead of throwing "
+            "(sticky Status / refill-map error slot) instead of throwing "
             "across threads"))
     # `throw;` (rethrow) and `throw)` (noexcept(false) spellings) are
     # excluded above: rethrow inside a catch block that immediately

@@ -8,20 +8,16 @@
 //       PREFIX_profiles.csv / PREFIX_truth.csv.
 //
 //   sper_cli run <dataset> --method=NAME [--seed=N] [--scale=S]
-//                [--ecmax=E] [--threads=N] [--shards=N] [--lookahead=N]
+//                [--ecmax=E] [--threads=N] [--shards=N]
 //                [--budget=N] [--deadline-ms=N] [--priority=NAME]
 //                [--client-rate=R] [--curve=FILE.csv]
 //                [--metrics-json=FILE] [--trace=FILE]
 //       Run one progressive method under the paper's evaluation protocol;
 //       print the recall curve and AUC*, optionally dump the curve as CSV.
-//       --threads parallelizes the initialization phase (same output at
-//       every thread count). --shards=N hash-partitions the store and
-//       serves one engine per shard behind a merged emission stream.
-//       --lookahead=N pipelines emission: refill batches are produced
-//       ahead of consumption, up to N queue slots of >=256 comparisons
-//       each (per shard when sharded), bit-identical to the serial
-//       stream; 0 keeps the serial reference path. Defaults to 0 for
-//       --threads=1 and 4 otherwise. --budget=N caps the run at N
+//       --threads parallelizes the initialization phase and the PBS/PPS
+//       refills (same output at every thread count). --shards=N
+//       hash-partitions the store and serves one engine per shard behind
+//       a merged emission stream. --budget=N caps the run at N
 //       emitted comparisons (the pay-as-you-go budget,
 //       ResolverOptions::budget; 0 = unlimited). --deadline-ms=N serves
 //       the drain through the session layer with an N-millisecond
@@ -40,7 +36,7 @@
 //       run: the drain is served through the session layer (in slices
 //       bit-identical to the plain drain), and afterwards the metric
 //       registry is written as one JSON snapshot (per-phase init
-//       seconds, pipeline ring health, session latency histograms)
+//       seconds, refill-map health, session latency histograms)
 //       and/or a Chrome trace-event JSON loadable in Perfetto /
 //       chrome://tracing.
 //       Flags are parsed strictly: a malformed or out-of-range value
@@ -48,16 +44,15 @@
 //       --buget=100) are errors, never a silent fallback.
 //
 //   sper_cli inspect <dataset> [--seed=N] [--scale=S] [--threads=N]
-//                    [--shards=N] [--lookahead=N] [--method=NAME]
+//                    [--shards=N] [--method=NAME]
 //       Dataset statistics plus Token-Blocking-Workflow block statistics;
-//       --shards adds the per-shard partition breakdown; --lookahead is
-//       reported as part of the serving configuration. Also constructs
+//       --shards adds the per-shard partition breakdown. Also constructs
 //       the --method resolver (default pps) and prints its per-phase
 //       initialization breakdown (per shard when sharded).
 //
 //   sper_cli serve <dataset> --listen=HOST:PORT [--method=NAME] [--seed=N]
-//                  [--scale=S] [--threads=N] [--shards=N] [--lookahead=N]
-//                  [--budget=N] [--client-rate=R] [--max-queue-depth=N]
+//                  [--scale=S] [--threads=N] [--shards=N] [--budget=N]
+//                  [--client-rate=R] [--max-queue-depth=N]
 //                  [--max-connections=N]
 //       Serve the dataset's resolver over TCP (net/server.h, wire
 //       protocol in docs/wire_protocol.md). Prints "listening on
@@ -233,16 +228,6 @@ std::size_t OptShards(const CliArgs& args) {
   return OptUint(args, "shards", 1, 1, ResolverOptions::kMaxShards);
 }
 
-std::size_t OptLookahead(const CliArgs& args) {
-  // The serial emission path stays the reference: it is the default for
-  // --threads=1. Multi-threaded runs default to a small pipeline
-  // lookahead (the stream is bit-identical either way); an explicit
-  // --lookahead=0 always forces the serial path.
-  const std::uint64_t fallback = OptThreads(args) > 1 ? 4 : 0;
-  return OptUint(args, "lookahead", fallback, 0,
-                 ResolverOptions::kMaxLookahead);
-}
-
 std::uint64_t OptBudget(const CliArgs& args) {
   return OptUint(args, "budget", 0, 0,
                  std::numeric_limits<std::uint64_t>::max());
@@ -407,13 +392,13 @@ class SessionEmitter : public ProgressiveEmitter {
 
 int CmdRun(const CliArgs& args) {
   RequireKnownOptions(args, {"seed", "scale", "method", "ecmax", "threads",
-                             "shards", "lookahead", "budget", "deadline-ms",
+                             "shards", "budget", "deadline-ms",
                              "priority", "client-rate", "curve",
                              "metrics-json", "trace"});
   if (args.positional.size() < 2 || !args.options.count("method")) {
     std::fprintf(stderr, "usage: sper_cli run <dataset> --method=NAME "
                          "[--seed=N] [--scale=S] [--ecmax=E] [--threads=N] "
-                         "[--shards=N] [--lookahead=N] [--budget=N] "
+                         "[--shards=N] [--budget=N] "
                          "[--deadline-ms=N] [--priority=NAME] "
                          "[--client-rate=R] [--curve=FILE.csv] "
                          "[--metrics-json=FILE] [--trace=FILE]\n");
@@ -434,7 +419,6 @@ int CmdRun(const CliArgs& args) {
   MethodConfig config;
   config.num_threads = OptThreads(args);
   config.num_shards = OptShards(args);
-  config.lookahead = OptLookahead(args);
   config.budget = OptBudget(args);
   std::unique_ptr<Resolver> probe =
       MakeResolver(method, dataset.value(), config);
@@ -507,12 +491,6 @@ int CmdRun(const CliArgs& args) {
                 "shards)\n",
                 static_cast<unsigned long long>(config.budget));
   }
-  if (config.lookahead > 0 && MethodHasBatchRefills(method)) {
-    std::printf("emission pipeline: lookahead %zu (refills produced ahead "
-                "of consumption%s)\n",
-                config.lookahead,
-                config.num_shards > 1 ? ", one producer per shard" : "");
-  }
   if (deadline_ms > 0) {
     std::printf("deadline: %llu ms per %llu-comparison request; %llu "
                 "slice(s) cut short (each continued losslessly)\n",
@@ -576,11 +554,11 @@ int CmdRun(const CliArgs& args) {
 
 int CmdInspect(const CliArgs& args) {
   RequireKnownOptions(args, {"seed", "scale", "threads", "shards",
-                             "lookahead", "method"});
+                             "method"});
   if (args.positional.size() < 2) {
     std::fprintf(stderr, "usage: sper_cli inspect <dataset> [--seed=N] "
                          "[--scale=S] [--threads=N] [--shards=N] "
-                         "[--lookahead=N] [--method=NAME]\n");
+                         "[--method=NAME]\n");
     return 2;
   }
   Result<DatasetBundle> dataset =
@@ -599,11 +577,8 @@ int CmdInspect(const CliArgs& args) {
   }
   std::printf("\n  matches |D_P|:  %zu\n", ds.truth.num_matches());
   std::printf("  mean |p|:       %.2f\n", ds.store.MeanProfileSize());
-  const std::size_t lookahead = OptLookahead(args);
-  std::printf("  serving:        threads=%zu shards=%zu lookahead=%zu "
-              "(%s emission)\n",
-              OptThreads(args), OptShards(args), lookahead,
-              lookahead > 0 ? "pipelined" : "serial");
+  std::printf("  serving:        threads=%zu shards=%zu\n",
+              OptThreads(args), OptShards(args));
 
   TokenWorkflowOptions workflow_options;
   workflow_options.num_threads = OptThreads(args);
@@ -646,7 +621,6 @@ int CmdInspect(const CliArgs& args) {
   MethodConfig config;
   config.num_threads = OptThreads(args);
   config.num_shards = num_shards;
-  config.lookahead = lookahead;
   obs::Registry registry;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver = MakeResolver(method, ds, config);
@@ -679,13 +653,13 @@ extern "C" void HandleStopSignal(int /*signum*/) {
 
 int CmdServe(const CliArgs& args) {
   RequireKnownOptions(args, {"listen", "method", "seed", "scale", "threads",
-                             "shards", "lookahead", "budget", "client-rate",
+                             "shards", "budget", "client-rate",
                              "max-queue-depth", "max-connections"});
   if (args.positional.size() < 2 || !args.options.count("listen")) {
     std::fprintf(stderr,
                  "usage: sper_cli serve <dataset> --listen=HOST:PORT "
                  "[--method=NAME] [--seed=N] [--scale=S] [--threads=N] "
-                 "[--shards=N] [--lookahead=N] [--budget=N] "
+                 "[--shards=N] [--budget=N] "
                  "[--client-rate=R] [--max-queue-depth=N] "
                  "[--max-connections=N]\n");
     return 2;
@@ -709,7 +683,6 @@ int CmdServe(const CliArgs& args) {
   MethodConfig config;
   config.num_threads = OptThreads(args);
   config.num_shards = OptShards(args);
-  config.lookahead = OptLookahead(args);
   config.budget = OptBudget(args);
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
@@ -756,11 +729,10 @@ int CmdServe(const CliArgs& args) {
   // matters when --listen ends in :0).
   std::printf("listening on %s:%u\n", server_options.host.c_str(),
               static_cast<unsigned>(server.value()->port()));
-  std::printf("serving %s on %s (threads=%zu shards=%zu lookahead=%zu"
-              "%s%s)\n",
+  std::printf("serving %s on %s (threads=%zu shards=%zu%s%s)\n",
               std::string(ToString(method)).c_str(),
               dataset.value().name.c_str(), config.num_threads,
-              config.num_shards, config.lookahead,
+              config.num_shards,
               config.budget > 0 ? ", budgeted" : "",
               server_options.qos.client_rate > 0.0 ? ", rate-limited" : "");
   std::fflush(stdout);
