@@ -2,13 +2,12 @@
 // ER the paper actually measures recall against (Alg. 6) — how fast can
 // the engine *emit* once initialization is done?
 //
-// One drain per (shards, threads) configuration. PBS/PPS refills are pure
-// functions of their cursor, so the engine runs them on `threads` workers
-// (per shard: max(1, threads / shards)) through the ordered refill map
-// (src/parallel/ordered_map.h); the consumer pops finished windows in
-// cursor order. The first --threads value is the reference of each shard
-// count ("emit" row, speedup 1.00x); the other rows report its wall time
-// over theirs.
+// One drain per thread count. PBS/PPS refills are pure functions of
+// their cursor, so the engine runs them on `threads` workers through the
+// ordered refill map (src/parallel/ordered_map.h); the consumer pops
+// finished windows in cursor order. The first --threads value is the
+// reference ("emit" row, speedup 1.00x); the other rows report its wall
+// time over theirs.
 //
 // Each configuration also runs a telemetry-overhead drain ("emit_obs"
 // rows): the same drain with a live obs::Registry attached, reporting the
@@ -16,16 +15,15 @@
 // health read off the registry (ready-window quantiles, stall/wait
 // counts).
 //
-// Every row must emit the *bit-identical* comparison stream of its shard
-// count (same pairs, same weights, same order); the bench folds every
-// emission into an FNV-1a digest and fails (exit 1) on any divergence.
+// Every row must emit the *bit-identical* comparison stream (same pairs,
+// same weights, same order); the bench folds every emission into an
+// FNV-1a digest and fails (exit 1) on any divergence.
 //
 //   bench_emission_throughput [--scale=S] [--dataset=NAME] [--method=M]
 //                             [--repeat=R] [--threads=T1,T2,...]
-//                             [--budget=N] [--shards=S1,S2,...]
-//                             [--json=PATH]
+//                             [--budget=N] [--json=PATH]
 //
-// --json emits {dataset, scale, threads, shards, path, wall_ms, speedup}
+// --json emits {dataset, scale, threads, path, wall_ms, speedup}
 // records (schema: bench/BENCH.md). Speedup needs spare physical cores;
 // on a 1-core machine it stays near 1.0x while the digests still pin
 // correctness.
@@ -65,18 +63,16 @@ double Millis(std::chrono::steady_clock::time_point start) {
 
 using sper::bench::DrainResult;
 
-/// Builds the resolver (Resolver::Create picks plain vs sharded), then
-/// times the emission drain only — initialization is
+/// Builds the resolver, then times the emission drain only — initialization is
 /// bench_parallel_scaling's job. A non-null `registry` attaches a
 /// telemetry scope (the "_obs" paths); the drained stream must stay
 /// bit-identical either way.
 DrainResult RunOnce(const ProfileStore& store, MethodId method,
-                    std::size_t threads, std::size_t shards,
-                    std::uint64_t budget, obs::Registry* registry = nullptr) {
+                    std::size_t threads, std::uint64_t budget,
+                    obs::Registry* registry = nullptr) {
   ResolverOptions options;
   options.method = method;
   options.num_threads = threads;
-  options.num_shards = shards;
   options.budget = budget;
   if (registry != nullptr) {
     options.telemetry = obs::TelemetryScope(registry);
@@ -93,31 +89,24 @@ DrainResult RunOnce(const ProfileStore& store, MethodId method,
   return result;
 }
 
-/// The refill-map observations of one instrumented run, aggregated across
-/// shards (the plain engine records unprefixed "pipeline.*" metrics; the
-/// sharded engine one set per "shardS." prefix).
-void AppendRefillExtras(const obs::Registry& registry, std::size_t shards,
+/// The refill-map observations of one instrumented run ("pipeline.*"
+/// metrics; absent for the sort-based methods, which read as zero).
+void AppendRefillExtras(const obs::Registry& registry,
                         sper::bench::JsonRecord& record) {
-  obs::Histogram occupancy;
-  std::uint64_t stalls = 0;
-  std::uint64_t waits = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::string prefix =
-        shards > 1 ? "shard" + std::to_string(s) + "." : "";
-    if (const obs::Histogram* h =
-            registry.FindHistogram(prefix + "pipeline.ring_occupancy")) {
-      occupancy.Merge(*h);
-    }
-    if (const obs::Counter* c =
-            registry.FindCounter(prefix + "pipeline.producer_stalls")) {
-      stalls += c->value();
-    }
-    if (const obs::Counter* c =
-            registry.FindCounter(prefix + "pipeline.consumer_waits")) {
-      waits += c->value();
-    }
+  obs::HistogramSnapshot snap;
+  if (const obs::Histogram* h =
+          registry.FindHistogram("pipeline.ring_occupancy")) {
+    snap = h->Snapshot();
   }
-  const obs::HistogramSnapshot snap = occupancy.Snapshot();
+  std::uint64_t stalls = 0;
+  if (const obs::Counter* c =
+          registry.FindCounter("pipeline.producer_stalls")) {
+    stalls = c->value();
+  }
+  std::uint64_t waits = 0;
+  if (const obs::Counter* c = registry.FindCounter("pipeline.consumer_waits")) {
+    waits = c->value();
+  }
   record.extras.emplace_back("ring_occupancy_p50",
                              static_cast<double>(snap.p50));
   record.extras.emplace_back("ring_occupancy_p99",
@@ -136,7 +125,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::vector<std::size_t> thread_counts = {1, 4};
   std::uint64_t budget = 0;  // 0 = drain the method dry
-  std::vector<std::size_t> shard_counts = {1, 4};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
       scale = std::atof(argv[i] + 8);
@@ -150,15 +138,13 @@ int main(int argc, char** argv) {
       thread_counts = sper::bench::ParseSizeList(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       budget = std::strtoull(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shard_counts = sper::bench::ParseSizeList(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
           "[--repeat=R] [--threads=T1,T2,...] [--budget=N] "
-          "[--shards=S1,S2,...] [--json=PATH]\n",
+          "[--json=PATH]\n",
           argv[0]);
       return 2;
     }
@@ -192,14 +178,14 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   // Best-of-`repeat` drain; the kept registry belongs to the best run.
-  const auto best_of = [&](std::size_t threads, std::size_t shards,
+  const auto best_of = [&](std::size_t threads,
                            std::unique_ptr<obs::Registry>* registry) {
     DrainResult best;
     for (int r = 0; r < repeat; ++r) {
       auto run_registry =
           registry != nullptr ? std::make_unique<obs::Registry>() : nullptr;
       DrainResult run =
-          RunOnce(store, *method, threads, shards, budget, run_registry.get());
+          RunOnce(store, *method, threads, budget, run_registry.get());
       if (r == 0 || run.wall_ms < best.wall_ms) {
         best = run;
         if (registry != nullptr) *registry = std::move(run_registry);
@@ -209,55 +195,52 @@ int main(int argc, char** argv) {
   };
 
   std::vector<sper::bench::JsonRecord> records;
-  TextTable table({"shards", "threads", "emitted", "emission (ms)",
-                   "speedup", "digest"});
+  TextTable table({"threads", "emitted", "emission (ms)", "speedup",
+                   "digest"});
   bool ok = true;
-  for (std::size_t shards : shard_counts) {
-    DrainResult reference;
-    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-      const std::size_t threads = thread_counts[t];
-      const DrainResult plain = best_of(threads, shards, nullptr);
-      if (t == 0) reference = plain;
-      const bool match = plain.SameStream(reference);
-      ok = ok && match;
-      const double speedup =
-          plain.wall_ms > 0 ? reference.wall_ms / plain.wall_ms : 0.0;
-      table.AddRow({std::to_string(shards), std::to_string(threads),
-                    std::to_string(plain.emitted),
-                    FormatDouble(plain.wall_ms, 1),
-                    FormatDouble(speedup, 2) + "x",
-                    t == 0 ? "reference" : (match ? "match" : "MISMATCH")});
-      records.push_back({dataset.value().name, scale, threads, "emit",
-                         plain.wall_ms, speedup, shards, 0, {}});
+  DrainResult reference;
+  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+    const std::size_t threads = thread_counts[t];
+    const DrainResult plain = best_of(threads, nullptr);
+    if (t == 0) reference = plain;
+    const bool match = plain.SameStream(reference);
+    ok = ok && match;
+    const double speedup =
+        plain.wall_ms > 0 ? reference.wall_ms / plain.wall_ms : 0.0;
+    table.AddRow({std::to_string(threads), std::to_string(plain.emitted),
+                  FormatDouble(plain.wall_ms, 1),
+                  FormatDouble(speedup, 2) + "x",
+                  t == 0 ? "reference" : (match ? "match" : "MISMATCH")});
+    records.push_back({dataset.value().name, scale, threads, "emit",
+                       plain.wall_ms, speedup, 0, {}});
 
-      // Telemetry-overhead configuration: the same drain with a live
-      // registry attached. The stream must stay bit-identical and the
-      // overhead (obs/off wall-clock ratio) near 1.0 — the acceptance bar
-      // for the instrumentation being a pure observer.
-      std::unique_ptr<obs::Registry> registry;
-      const DrainResult observed = best_of(threads, shards, &registry);
-      const bool obs_match = observed.SameStream(reference);
-      ok = ok && obs_match;
-      const double overhead =
-          plain.wall_ms > 0 ? observed.wall_ms / plain.wall_ms : 0.0;
-      table.AddRow({std::to_string(shards), std::to_string(threads) + " (obs)",
-                    std::to_string(observed.emitted),
-                    FormatDouble(observed.wall_ms, 1),
-                    FormatDouble(overhead, 3) + "x ovh",
-                    obs_match ? "match" : "MISMATCH"});
-      sper::bench::JsonRecord record{
-          dataset.value().name, scale, threads, "emit_obs", observed.wall_ms,
-          observed.wall_ms > 0 ? reference.wall_ms / observed.wall_ms : 0.0,
-          shards, 0, {}};
-      record.extras.emplace_back("overhead", overhead);
-      AppendRefillExtras(*registry, shards, record);
-      records.push_back(std::move(record));
-    }
+    // Telemetry-overhead configuration: the same drain with a live
+    // registry attached. The stream must stay bit-identical and the
+    // overhead (obs/off wall-clock ratio) near 1.0 — the acceptance bar
+    // for the instrumentation being a pure observer.
+    std::unique_ptr<obs::Registry> registry;
+    const DrainResult observed = best_of(threads, &registry);
+    const bool obs_match = observed.SameStream(reference);
+    ok = ok && obs_match;
+    const double overhead =
+        plain.wall_ms > 0 ? observed.wall_ms / plain.wall_ms : 0.0;
+    table.AddRow({std::to_string(threads) + " (obs)",
+                  std::to_string(observed.emitted),
+                  FormatDouble(observed.wall_ms, 1),
+                  FormatDouble(overhead, 3) + "x ovh",
+                  obs_match ? "match" : "MISMATCH"});
+    sper::bench::JsonRecord record{
+        dataset.value().name, scale, threads, "emit_obs", observed.wall_ms,
+        observed.wall_ms > 0 ? reference.wall_ms / observed.wall_ms : 0.0,
+        0, {}};
+    record.extras.emplace_back("overhead", overhead);
+    AppendRefillExtras(*registry, record);
+    records.push_back(std::move(record));
   }
   table.Print();
   std::printf("\ndigest = FNV-1a over every emitted (i, j, weight); "
               "\"match\" means the stream is\nbit-identical to the first "
-              "thread count's at the same shard count.\n");
+              "thread count's.\n");
 
   if (!json_path.empty() &&
       !sper::bench::WriteJsonRecords(json_path, records)) {

@@ -1,14 +1,15 @@
-// Fault-tolerance bench: what does one slow shard do to slice latency,
-// and how much does a per-request deadline claw back? Three paths, all
-// draining the same sharded resolver configuration through a session:
+// Fault-tolerance bench: what do slow refills do to slice latency, and
+// how much does a per-request deadline claw back? Three paths, all
+// draining the same resolver configuration through a session:
 //
-//   baseline             no injected fault — the healthy reference;
-//   slow_shard           every shard-0 refill stalls --stall-ms (via the
-//                        SPER_FAULT_INJECT harness, obs/fault_injection.h);
-//   slow_shard_deadline  same stall, but every request carries
-//                        --deadline-ms: slices come back cut short
-//                        (deadline_exceeded) instead of waiting the
-//                        straggler out, and each continues losslessly.
+//   baseline              no injected fault — the healthy reference;
+//   slow_refill           every fourth refill stalls --stall-ms (the
+//                         "refill" seam of the SPER_FAULT_INJECT harness,
+//                         obs/fault_injection.h);
+//   slow_refill_deadline  same stalls, but every request carries
+//                         --deadline-ms: slices come back cut short
+//                         (deadline_exceeded) instead of waiting the
+//                         straggler out, and each continues losslessly.
 //
 // All three paths must fold to the identical FNV-1a stream digest —
 // stalls and deadline cuts change *when* comparisons are delivered,
@@ -17,13 +18,13 @@
 // elsewhere the bench prints the baseline only and says why.
 //
 //   bench_fault_tolerance [--scale=S] [--dataset=NAME] [--method=M]
-//                         [--threads=T] [--shards=N] [--budget=N]
+//                         [--threads=T] [--budget=N]
 //                         [--batch=B] [--stall-ms=MS] [--deadline-ms=MS]
 //                         [--repeat=R] [--json=PATH]
 //
-// --threads (default 4) is ResolverOptions::num_threads: every shard runs
-// its refills on max(1, T / shards) workers, so shard 0's stalls delay
-// only shard 0's windows.
+// --threads (default 4) is ResolverOptions::num_threads: the refills run
+// on T workers, so while one worker sleeps in a stalled refill the others
+// keep computing the windows behind it.
 //
 // --json emits one record per path (schema: bench/BENCH.md) with extras
 // slice_p50_ms / slice_p99_ms / requests / deadline_cuts / emitted;
@@ -50,6 +51,9 @@ namespace {
 
 using namespace sper;
 using sper::bench::DrainResult;
+
+/// The stall plan fires on every kStallEvery-th refill.
+constexpr std::uint64_t kStallEvery = 4;
 
 double Millis(const obs::Stopwatch& watch) {
   return watch.ElapsedSeconds() * 1000.0;
@@ -122,7 +126,6 @@ int main(int argc, char** argv) {
   std::uint64_t deadline_ms = 20;
   ResolverOptions options;
   options.num_threads = 4;
-  options.num_shards = 4;
   options.budget = 20000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
@@ -133,8 +136,6 @@ int main(int argc, char** argv) {
       method_name = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--threads=T] [--shards=N] [--budget=N] "
+          "[--threads=T] [--budget=N] "
           "[--batch=B] [--stall-ms=MS] [--deadline-ms=MS] [--repeat=R] "
           "[--json=PATH]\n",
           argv[0]);
@@ -174,13 +175,14 @@ int main(int argc, char** argv) {
   const ProfileStore& store = dataset.value().store;
   std::printf(
       "dataset %s: %zu profiles (scale %.2f), method %s, threads %zu, "
-      "shards %zu, budget %llu, batch %llu, stall %llu ms, deadline "
-      "%llu ms, fault injection %s\n",
+      "budget %llu, batch %llu, stall %llu ms every %llu refills, "
+      "deadline %llu ms, fault injection %s\n",
       dataset.value().name.c_str(), store.size(), scale,
       std::string(ToString(*method)).c_str(), options.num_threads,
-      options.num_shards, static_cast<unsigned long long>(options.budget),
+      static_cast<unsigned long long>(options.budget),
       static_cast<unsigned long long>(batch),
       static_cast<unsigned long long>(stall_ms),
+      static_cast<unsigned long long>(kStallEvery),
       static_cast<unsigned long long>(deadline_ms),
       obs::kFaultInjectionEnabled ? "compiled in" : "compiled out");
 
@@ -191,8 +193,8 @@ int main(int argc, char** argv) {
   };
   std::vector<PathSpec> paths = {{"baseline", false, 0}};
   if (obs::kFaultInjectionEnabled) {
-    paths.push_back({"slow_shard", true, 0});
-    paths.push_back({"slow_shard_deadline", true, deadline_ms});
+    paths.push_back({"slow_refill", true, 0});
+    paths.push_back({"slow_refill_deadline", true, deadline_ms});
   } else {
     std::printf(
         "(fault paths need -DSPER_FAULT_INJECT=ON; reporting the "
@@ -209,7 +211,8 @@ int main(int argc, char** argv) {
       obs::FaultPlan plan;
       plan.action = obs::FaultPlan::Action::kStall;
       plan.stall_ms = stall_ms;
-      obs::FaultRegistry::Global().Arm("refill.shard0", plan);
+      plan.every = kStallEvery;
+      obs::FaultRegistry::Global().Arm("refill", plan);
     }
     SessionRun best;
     for (int r = 0; r < repeat; ++r) {
@@ -237,7 +240,7 @@ int main(int argc, char** argv) {
         dataset.value().name,  scale,
         options.num_threads,   path.name,
         best.drain.wall_ms,    speedup,
-        options.num_shards,    static_cast<std::size_t>(batch)};
+        static_cast<std::size_t>(batch), {}};
     record.extras.emplace_back("slice_p50_ms", p50);
     record.extras.emplace_back("slice_p99_ms", p99);
     record.extras.emplace_back("requests",

@@ -16,14 +16,14 @@
 // expected to be within noise of the raw drain.
 //
 //   bench_resolver_session [--scale=S] [--dataset=NAME] [--method=M]
-//                          [--repeat=R] [--threads=T] [--shards=N]
-//                          [--budget=N] [--batch=B1,B2,...] [--json=PATH]
+//                          [--repeat=R] [--threads=T] [--budget=N]
+//                          [--batch=B1,B2,...] [--json=PATH]
 //
 // --threads sets ResolverOptions::num_threads (init phases and the PBS/PPS
 // refill workers).
 //
-// --json emits {dataset, scale, threads, shards, batch_size,
-// path, wall_ms, speedup} records (schema: bench/BENCH.md); speedup is
+// --json emits {dataset, scale, threads, batch_size, path, wall_ms,
+// speedup} records (schema: bench/BENCH.md); speedup is
 // unbatched/batched at the same configuration, batch_size is 0 for the
 // un-batched baseline rows. Each session_batched record additionally
 // carries per-request latency observations (queue_wait_p50_us /
@@ -108,8 +108,6 @@ int main(int argc, char** argv) {
       repeat = std::atoi(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -119,7 +117,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--repeat=R] [--threads=T] [--shards=N] "
+          "[--repeat=R] [--threads=T] "
           "[--budget=N] [--batch=B1,B2,...] [--json=PATH]\n",
           argv[0]);
       return 2;
@@ -141,12 +139,10 @@ int main(int argc, char** argv) {
   }
   const ProfileStore& store = dataset.value().store;
   std::printf("dataset %s: %zu profiles (scale %.2f, %s), method %s, "
-              "threads %zu, shards %zu, budget %llu, "
-              "hardware threads %u\n",
+              "threads %zu, budget %llu, hardware threads %u\n",
               dataset.value().name.c_str(), store.size(), scale,
               ToString(store.er_type()),
               std::string(ToString(*method)).c_str(), options.num_threads,
-              options.num_shards,
               static_cast<unsigned long long>(options.budget),
               std::thread::hardware_concurrency());
 
@@ -158,8 +154,7 @@ int main(int argc, char** argv) {
 
   std::vector<sper::bench::JsonRecord> records;
   records.push_back({dataset.value().name, scale, options.num_threads,
-                     "drain_unbatched", unbatched.wall_ms, 1.0,
-                     options.num_shards, 0});
+                     "drain_unbatched", unbatched.wall_ms, 1.0, 0, {}});
   TextTable table({"batch", "requests", "emitted", "drain (ms)", "speedup",
                    "digest"});
   table.AddRow({"unbatched", "-", std::to_string(unbatched.emitted),
@@ -184,8 +179,7 @@ int main(int argc, char** argv) {
                   match ? "match" : "MISMATCH"});
     sper::bench::JsonRecord record{dataset.value().name, scale,
                                    options.num_threads, "session_batched",
-                                   batched.wall_ms, speedup,
-                                   options.num_shards, batch};
+                                   batched.wall_ms, speedup, batch, {}};
 
     // One separate instrumented run per batch size: the timed runs above
     // stay telemetry-free, this one collects the per-request latency

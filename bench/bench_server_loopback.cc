@@ -1,7 +1,6 @@
 // Over-the-wire serving cost: the same progressive stream drained
 // in-process (un-batched resolver drain) and over a loopback TCP
-// connection through net::Server (QoS admission + wire framing), at
-// shards 1 and 4.
+// connection through net::Server (QoS admission + wire framing).
 //
 // The loopback path runs 3 concurrent clients, one per priority class
 // (kInteractive / kBatch / kBestEffort), each issuing fixed-size
@@ -12,9 +11,9 @@
 // exits 1 on any digest mismatch.
 //
 //   bench_server_loopback [--scale=S] [--dataset=NAME] [--method=M]
-//                         [--batch=B] [--shards=LIST] [--json=PATH]
+//                         [--batch=B] [--json=PATH]
 //
-// --json emits one record per (shards, path) with schema bench/BENCH.md;
+// --json emits one record per path with schema bench/BENCH.md;
 // server_loopback records carry per-class latency extras
 // (<class>_p50_ms / <class>_p99_ms, request send -> response decoded)
 // and the shared comparison/request counts.
@@ -61,7 +60,6 @@ struct LoopbackArgs {
   std::string dataset = "restaurant";
   std::string method = "pps";
   std::uint64_t batch = 2048;
-  std::vector<std::size_t> shards = {1, 4};
   std::string json_path;
 };
 
@@ -76,14 +74,12 @@ LoopbackArgs ParseLoopbackArgs(int argc, char** argv) {
       args.method = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       args.batch = std::strtoull(argv[i] + 8, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      args.shards = sper::bench::ParseSizeList(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       args.json_path = argv[i] + 7;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-                   "[--batch=B] [--shards=LIST] [--json=PATH]\n",
+                   "[--batch=B] [--json=PATH]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -157,125 +153,115 @@ int main(int argc, char** argv) {
       std::string(ToString(*method)).c_str(),
       static_cast<unsigned long long>(args.batch));
 
-  TextTable table({"shards", "path", "comparisons", "requests", "wall (ms)",
+  TextTable table({"path", "comparisons", "requests", "wall (ms)",
                    "digest"});
   std::vector<sper::bench::JsonRecord> json;
-  bool digests_ok = true;
 
-  for (std::size_t shards : args.shards) {
-    ResolverOptions options;
-    options.method = *method;
-    options.num_shards = shards;
+  ResolverOptions options;
+  options.method = *method;
 
-    // In-process reference: one un-batched drain.
-    DrainResult inproc;
-    {
-      std::unique_ptr<Resolver> resolver =
-          sper::bench::CreateResolverOrDie(store, options);
-      const std::uint64_t start = NowNs();
-      for (;;) {
-        ResolveRequest request;
-        request.budget = 1u << 20;
-        request.max_batch = 1u << 20;
-        ResolveResult slice = resolver->Serve(request);
-        ++inproc.requests;
-        for (const Comparison& c : slice.comparisons) inproc.Fold(c);
-        if (slice.stream_exhausted || slice.comparisons.empty()) break;
-      }
-      inproc.wall_ms = static_cast<double>(NowNs() - start) / 1e6;
-    }
-    table.AddRow({std::to_string(shards), "inproc_drain",
-                  std::to_string(inproc.emitted),
-                  std::to_string(inproc.requests),
-                  FormatDouble(inproc.wall_ms, 2), "baseline"});
-    sper::bench::JsonRecord inproc_record;
-    inproc_record.dataset = dataset.value().name;
-    inproc_record.scale = args.scale;
-    inproc_record.shards = shards;
-    inproc_record.path = "inproc_drain";
-    inproc_record.wall_ms = inproc.wall_ms;
-    inproc_record.extras.emplace_back(
-        "comparisons", static_cast<double>(inproc.emitted));
-    json.push_back(std::move(inproc_record));
-
-    // Loopback: a fresh resolver behind net::Server, drained by three
-    // concurrent clients, one per priority class.
+  // In-process reference: one un-batched drain.
+  DrainResult inproc;
+  {
     std::unique_ptr<Resolver> resolver =
         sper::bench::CreateResolverOrDie(store, options);
-    net::ServerOptions server_options;
-    Result<std::unique_ptr<net::Server>> started =
-        net::Server::Start(*resolver, std::move(server_options));
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
-      return 1;
-    }
-    const std::unique_ptr<net::Server> server = std::move(started).value();
-
-    const std::array<Priority, 3> classes = {
-        Priority::kInteractive, Priority::kBatch, Priority::kBestEffort};
-    std::array<ClientHaul, 3> hauls;
     const std::uint64_t start = NowNs();
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(classes.size());
-      for (std::size_t c = 0; c < classes.size(); ++c) {
-        threads.emplace_back(DrainClient, server->port(), args.batch,
-                             classes[c], &hauls[c]);
-      }
-      for (std::thread& t : threads) t.join();
+    for (;;) {
+      ResolveRequest request;
+      request.budget = 1u << 20;
+      request.max_batch = 1u << 20;
+      ResolveResult slice = resolver->Serve(request);
+      ++inproc.requests;
+      for (const Comparison& c : slice.comparisons) inproc.Fold(c);
+      if (slice.stream_exhausted || slice.comparisons.empty()) break;
     }
-    const double wall_ms = static_cast<double>(NowNs() - start) / 1e6;
-
-    // Merge by ticket; tickets are dense, so ordered-map iteration is
-    // exactly admission order.
-    std::map<std::uint64_t, std::vector<Comparison>> merged;
-    std::uint64_t requests = 0;
-    bool clients_ok = true;
-    for (const ClientHaul& haul : hauls) {
-      clients_ok = clients_ok && haul.ok;
-      requests += haul.latencies_ms.size();
-      for (const auto& [ticket, slice] : haul.slices) {
-        merged[ticket] = slice;
-      }
-    }
-    DrainResult loopback;
-    for (const auto& [ticket, slice] : merged) {
-      for (const Comparison& c : slice) loopback.Fold(c);
-    }
-    loopback.requests = requests;
-    loopback.wall_ms = wall_ms;
-
-    const bool match = clients_ok && loopback.SameStream(inproc);
-    digests_ok = digests_ok && match;
-    table.AddRow({std::to_string(shards), "server_loopback",
-                  std::to_string(loopback.emitted),
-                  std::to_string(loopback.requests),
-                  FormatDouble(wall_ms, 2),
-                  match ? "match" : "MISMATCH"});
-
-    sper::bench::JsonRecord record;
-    record.dataset = dataset.value().name;
-    record.scale = args.scale;
-    record.shards = shards;
-    record.batch_size = args.batch;
-    record.path = "server_loopback";
-    record.wall_ms = wall_ms;
-    record.speedup = loopback.wall_ms > 0.0 && inproc.wall_ms > 0.0
-                         ? inproc.wall_ms / loopback.wall_ms
-                         : 1.0;
-    record.extras.emplace_back("comparisons",
-                               static_cast<double>(loopback.emitted));
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      const std::string cls(ToString(classes[c]));
-      record.extras.emplace_back(cls + "_p50_ms",
-                                 Percentile(hauls[c].latencies_ms, 0.50));
-      record.extras.emplace_back(cls + "_p99_ms",
-                                 Percentile(hauls[c].latencies_ms, 0.99));
-    }
-    json.push_back(std::move(record));
-
-    server->Shutdown();
+    inproc.wall_ms = static_cast<double>(NowNs() - start) / 1e6;
   }
+  table.AddRow({"inproc_drain", std::to_string(inproc.emitted),
+                std::to_string(inproc.requests),
+                FormatDouble(inproc.wall_ms, 2), "baseline"});
+  sper::bench::JsonRecord inproc_record;
+  inproc_record.dataset = dataset.value().name;
+  inproc_record.scale = args.scale;
+  inproc_record.path = "inproc_drain";
+  inproc_record.wall_ms = inproc.wall_ms;
+  inproc_record.extras.emplace_back("comparisons",
+                                    static_cast<double>(inproc.emitted));
+  json.push_back(std::move(inproc_record));
+
+  // Loopback: a fresh resolver behind net::Server, drained by three
+  // concurrent clients, one per priority class.
+  std::unique_ptr<Resolver> resolver =
+      sper::bench::CreateResolverOrDie(store, options);
+  net::ServerOptions server_options;
+  Result<std::unique_ptr<net::Server>> started =
+      net::Server::Start(*resolver, std::move(server_options));
+  if (!started.ok()) {
+    std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
+    return 1;
+  }
+  const std::unique_ptr<net::Server> server = std::move(started).value();
+
+  const std::array<Priority, 3> classes = {
+      Priority::kInteractive, Priority::kBatch, Priority::kBestEffort};
+  std::array<ClientHaul, 3> hauls;
+  const std::uint64_t start = NowNs();
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(classes.size());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      threads.emplace_back(DrainClient, server->port(), args.batch,
+                           classes[c], &hauls[c]);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const double wall_ms = static_cast<double>(NowNs() - start) / 1e6;
+
+  // Merge by ticket; tickets are dense, so ordered-map iteration is
+  // exactly admission order.
+  std::map<std::uint64_t, std::vector<Comparison>> merged;
+  std::uint64_t requests = 0;
+  bool clients_ok = true;
+  for (const ClientHaul& haul : hauls) {
+    clients_ok = clients_ok && haul.ok;
+    requests += haul.latencies_ms.size();
+    for (const auto& [ticket, slice] : haul.slices) {
+      merged[ticket] = slice;
+    }
+  }
+  DrainResult loopback;
+  for (const auto& [ticket, slice] : merged) {
+    for (const Comparison& c : slice) loopback.Fold(c);
+  }
+  loopback.requests = requests;
+  loopback.wall_ms = wall_ms;
+
+  const bool match = clients_ok && loopback.SameStream(inproc);
+  table.AddRow({"server_loopback", std::to_string(loopback.emitted),
+                std::to_string(loopback.requests), FormatDouble(wall_ms, 2),
+                match ? "match" : "MISMATCH"});
+
+  sper::bench::JsonRecord record;
+  record.dataset = dataset.value().name;
+  record.scale = args.scale;
+  record.batch_size = args.batch;
+  record.path = "server_loopback";
+  record.wall_ms = wall_ms;
+  record.speedup = loopback.wall_ms > 0.0 && inproc.wall_ms > 0.0
+                       ? inproc.wall_ms / loopback.wall_ms
+                       : 1.0;
+  record.extras.emplace_back("comparisons",
+                             static_cast<double>(loopback.emitted));
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const std::string cls(ToString(classes[c]));
+    record.extras.emplace_back(cls + "_p50_ms",
+                               Percentile(hauls[c].latencies_ms, 0.50));
+    record.extras.emplace_back(cls + "_p99_ms",
+                               Percentile(hauls[c].latencies_ms, 0.99));
+  }
+  json.push_back(std::move(record));
+
+  server->Shutdown();
 
   table.Print();
   std::printf(
@@ -290,7 +276,7 @@ int main(int argc, char** argv) {
       !sper::bench::WriteJsonRecords(args.json_path, json)) {
     return 1;
   }
-  if (!digests_ok) {
+  if (!match) {
     std::fprintf(stderr,
                  "FAIL: an over-the-wire stream diverged from the "
                  "in-process drain\n");

@@ -114,8 +114,6 @@ struct JsonRecord {
   /// Speedup relative to the record's documented baseline (1.0 for the
   /// baseline rows themselves).
   double speedup = 1.0;
-  /// Hash shards of a ShardedEngine run; 1 for unsharded paths.
-  std::size_t shards = 1;
   /// ResolverSession request size of a session-batched drain
   /// (bench_resolver_session); 0 for un-batched / non-session paths.
   std::size_t batch_size = 0;
@@ -177,10 +175,10 @@ inline bool WriteJsonRecords(const std::string& file,
     const JsonRecord& r = records[i];
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"scale\": %g, \"threads\": %zu, "
-                 "\"shards\": %zu, \"batch_size\": %zu, "
+                 "\"batch_size\": %zu, "
                  "\"path\": \"%s\", "
                  "\"wall_ms\": %.3f, \"speedup\": %.3f",
-                 JsonEscape(r.dataset).c_str(), r.scale, r.threads, r.shards,
+                 JsonEscape(r.dataset).c_str(), r.scale, r.threads,
                  r.batch_size, JsonEscape(r.path).c_str(),
                  r.wall_ms, r.speedup);
     for (const auto& [name, value] : r.extras) {

@@ -63,7 +63,6 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
     : options_(std::move(options)) {
   const obs::Stopwatch init_watch;
   if (options_.num_threads == 0) options_.num_threads = 1;
-  budget_ = options_.budget;
   const obs::TelemetryScope& scope = options_.telemetry;
 
   // The blocking workflow of the equality-based methods, timed per step.
@@ -77,14 +76,12 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
     workflow.telemetry = scope;
     TokenWorkflowTiming timing;
     BlockCollection blocks = BuildTokenWorkflowBlocks(s, workflow, &timing);
-    stats_.phases.push_back(
-        {"token_blocking", 0, timing.token_blocking_seconds});
+    stats_.phases.push_back({"token_blocking", timing.token_blocking_seconds});
     if (workflow.enable_purging) {
-      stats_.phases.push_back({"block_purging", 0, timing.purging_seconds});
+      stats_.phases.push_back({"block_purging", timing.purging_seconds});
     }
     if (workflow.enable_filtering) {
-      stats_.phases.push_back(
-          {"block_filtering", 0, timing.filtering_seconds});
+      stats_.phases.push_back({"block_filtering", timing.filtering_seconds});
     }
     stats_.num_blocks = blocks.size();
     stats_.aggregate_cardinality = blocks.AggregateCardinality();
@@ -142,7 +139,7 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
     }
     }
   }
-  stats_.phases.push_back({"method_build", 0, method_seconds});
+  stats_.phases.push_back({"method_build", method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
 
   // The batch methods' refills run on num_threads workers, in windows of
@@ -164,10 +161,7 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
         [source](std::size_t k, RefillScratch& scratch, ComparisonList& out) {
           source->RefillAt(k, scratch, out);
         },
-        scope.enabled() ? &refill_metrics_ : nullptr,
-        options_.instance_label.empty()
-            ? "refill"
-            : "refill." + options_.instance_label);
+        scope.enabled() ? &refill_metrics_ : nullptr, "refill");
   }
 
   stats_.init_seconds = init_watch.ElapsedSeconds();
@@ -187,10 +181,8 @@ PullStatus ProgressiveEngine::Poison(std::size_t refill,
     what = e.what();
   } catch (...) {
   }
-  const std::string& label = options_.instance_label;
-  status_ = Status::Internal(
-      "refill failed (" + (label.empty() ? "engine" : label) + ", batch " +
-      std::to_string(refill) + "): " + what);
+  status_ = Status::Internal("refill failed (engine, batch " +
+                             std::to_string(refill) + "): " + what);
   return PullStatus::kError;
 }
 

@@ -2,16 +2,20 @@
 #define SPER_ENGINE_PROGRESSIVE_ENGINE_H_
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "core/comparison.h"
 #include "core/profile_store.h"
+#include "core/status.h"
 #include "core/types.h"
-#include "engine/engine.h"
 #include "engine/method.h"
 #include "obs/telemetry.h"
+#include "parallel/cancel.h"
 #include "parallel/ordered_map.h"
 #include "progressive/comparison_list.h"
 #include "progressive/emitter.h"
@@ -37,16 +41,51 @@
 /// pops from them strictly in cursor order. The emitted sequence is
 /// bit-identical at every thread count. The sort-based methods emit
 /// inline.
+///
+/// Beyond the stream, the engine carries the serving contract the
+/// `Resolver` builds on: the budget, an emission counter, initialization
+/// diagnostics, cancellable pulls (Pull), sticky failure containment
+/// (status) and graceful teardown (Drain).
 
 namespace sper {
+
+/// One timed step of an engine's initialization. Phase names are the
+/// telemetry phase names ("token_blocking", "block_purging",
+/// "block_filtering", "method_build").
+struct InitPhase {
+  std::string name;
+  double seconds = 0.0;
+};
+
+/// Aggregate facts about an engine's initialization phase (diagnostics /
+/// benches).
+struct InitStats {
+  /// Wall-clock seconds spent in the engine's constructor; the per-phase
+  /// breakdown is in `phases`.
+  double init_seconds = 0.0;
+  /// |B| of the workflow collection (0 for the sort-based methods).
+  std::size_t num_blocks = 0;
+  /// ||B|| of the workflow collection (0 for the sort-based methods).
+  std::uint64_t aggregate_cardinality = 0;
+  /// Per-phase breakdown of init_seconds, in execution order.
+  std::vector<InitPhase> phases;
+};
+
+/// Outcome of one ProgressiveEngine::Pull.
+enum class PullStatus {
+  kOk,         // `out` holds the next comparison of the stream
+  kExhausted,  // stream over (source drained, budget spent, or engine
+               // drained) — terminal for this request AND the stream
+  kCancelled,  // the token fired first; the stream is fully intact and the
+               // next Pull (any token) continues bit-identically
+  kError,      // the engine is poisoned — see status(); terminal, sticky
+};
 
 /// Everything one engine instance needs to run one progressive ER task.
 ///
 /// This is the *internal* per-engine configuration: public callers go
 /// through `ResolverOptions` + `Resolver::Create` (engine/resolver.h),
-/// which validates the configuration and picks the engine
-/// implementation. (The old deprecated `EngineOptions` /
-/// `ShardedEngineOptions` public shims were removed in PR 8.)
+/// which validates the configuration and lowers it to this struct.
 struct EngineConfig {
   /// Progressive method to run.
   MethodId method = MethodId::kPps;
@@ -78,13 +117,8 @@ struct EngineConfig {
   SchemaKeyFn schema_key;
   /// Telemetry sink (phase timers, refill-map health metrics, spans).
   /// Default-constructed = disabled; the emitted stream is bit-identical
-  /// either way. ShardedEngine hands each shard a "shard<S>."-prefixed
-  /// sub-scope of the resolver's scope.
+  /// either way.
   obs::TelemetryScope telemetry;
-  /// Names this engine instance in contained-failure messages and
-  /// fault-injection seams ("shard0" makes the refill seam
-  /// "refill.shard0"); empty = a plain unlabeled engine ("refill").
-  std::string instance_label;
 };
 
 /// Facade emitter: owns the inner method emitter and its inputs. Being a
@@ -92,10 +126,13 @@ struct EngineConfig {
 /// (evaluator, benches, dedup loops).
 ///
 /// Direct construction is internal: public callers use
-/// `Resolver::Create` (engine/resolver.h), which validates options and
-/// picks plain vs sharded serving; ProgressiveEngine remains the plain
-/// implementation behind that factory.
-class ProgressiveEngine : public BudgetedEngine {
+/// `Resolver::Create` (engine/resolver.h), which validates options first.
+///
+/// Not thread-safe: one consumer drains Next()/Pull() at a time (the
+/// Resolver serializes concurrent requests on top of this). Drain() must
+/// likewise be externally serialized against pulls — the Resolver does so
+/// via its admission queue.
+class ProgressiveEngine : public ProgressiveEmitter {
  public:
   /// Initialization phase: builds blocking structures (in parallel when
   /// options.num_threads > 1) and the method emitter; for the batch
@@ -103,30 +140,71 @@ class ProgressiveEngine : public BudgetedEngine {
   /// store must outlive the engine. kPsn requires options.schema_key.
   ProgressiveEngine(const ProfileStore& store, EngineConfig options);
 
+  /// Emission phase: the next best comparison, honoring the budget.
+  std::optional<Comparison> Next() override {
+    Comparison out;
+    return Pull(out, CancelToken()) == PullStatus::kOk
+               ? std::optional<Comparison>(out)
+               : std::nullopt;
+  }
+
   /// The inner method's acronym, e.g. "PPS".
   std::string_view name() const override { return inner_->name(); }
 
-  /// A plain engine serves one logical shard.
-  std::size_t num_shards() const override { return 1; }
+  /// The cancellable pull: like Next(), but gives up (kCancelled) when
+  /// `token` fires at a batch boundary, and reports producer failures as
+  /// kError instead of throwing. A null token never fires, making this a
+  /// strict superset of Next(). Charges the budget and short-circuits the
+  /// poisoned and drained states.
+  PullStatus Pull(Comparison& out, const CancelToken& token) {
+    if (!status_.ok()) return PullStatus::kError;
+    if (drained_ || BudgetExhausted()) return PullStatus::kExhausted;
+    const PullStatus pulled = PullUnbudgeted(out, token);
+    if (pulled == PullStatus::kOk) ++emitted_;
+    return pulled;
+  }
 
-  /// Stops the stream: stops and joins the refill workers and flips the
-  /// engine to exhausted. Idempotent.
-  void Drain() override;
+  /// Comparisons emitted so far.
+  std::uint64_t emitted() const { return emitted_; }
+
+  /// True once the configured pay-as-you-go budget has been spent (never
+  /// for budget 0, which means unlimited).
+  bool BudgetExhausted() const {
+    return options_.budget != 0 && emitted_ >= options_.budget;
+  }
+
+  /// Initialization diagnostics.
+  const InitStats& init_stats() const { return stats_; }
+
+  /// Why the engine is poisoned; ok() while healthy. Sticky: once a
+  /// producer failure is contained here, every later Pull returns kError
+  /// with this same status.
+  const Status& status() const { return status_; }
+
+  /// Stops the stream for good: stops and joins the refill workers and
+  /// makes every later Pull return kExhausted. Idempotent; must not race
+  /// Pull (see class comment).
+  void Drain();
 
  private:
   /// The inner method's next comparison (off the refill map's windows, or
-  /// inline for the sort-based methods); budget and poison accounting
-  /// live in BudgetedEngine::Pull().
-  PullStatus PullUnbudgeted(Comparison& out,
-                            const CancelToken& token) override;
+  /// inline for the sort-based methods), ignoring the budget. Checks
+  /// `token` at batch granularity and contains failures by poisoning.
+  PullStatus PullUnbudgeted(Comparison& out, const CancelToken& token);
 
-  /// Contains a refill or Next() failure: sticky status with instance
-  /// label and refill cursor.
+  /// Contains a refill or Next() failure: sticky status with the refill
+  /// cursor.
   PullStatus Poison(std::size_t refill, std::exception_ptr error);
 
   using RefillMap = OrderedMap<ComparisonList, RefillScratch>;
 
   EngineConfig options_;
+  InitStats stats_;
+  /// Sticky poison; set (once) by PullUnbudgeted on producer failure.
+  Status status_ = Status::Ok();
+  /// Set by Drain(); flips the stream to kExhausted.
+  bool drained_ = false;
+  std::uint64_t emitted_ = 0;
   std::unique_ptr<ProgressiveEmitter> inner_;
   /// Registry sinks of the refill map; declared before refills_, which
   /// holds a pointer to it for its lifetime.

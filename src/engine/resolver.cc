@@ -6,16 +6,13 @@
 #include <string>
 #include <utility>
 
-#include "engine/progressive_engine.h"
-#include "engine/sharded_engine.h"
 #include "obs/fault_injection.h"
 
 namespace sper {
 
 namespace {
 
-/// ResolverOptions -> the per-engine configuration the implementations
-/// take. Stays in one place so plain and sharded creation cannot drift.
+/// ResolverOptions -> the engine's internal configuration.
 EngineConfig ToEngineConfig(const ResolverOptions& options) {
   EngineConfig engine;
   engine.method = options.method;
@@ -86,11 +83,6 @@ Status ResolverOptions::Validate() const {
         "num_threads must be in [1, " + std::to_string(kMaxThreads) +
         "], got " + std::to_string(num_threads));
   }
-  if (num_shards == 0 || num_shards > kMaxShards) {
-    return Status::InvalidArgument(
-        "num_shards must be in [1, " + std::to_string(kMaxShards) +
-        "], got " + std::to_string(num_shards));
-  }
   if (method == MethodId::kPsn && schema_key == nullptr) {
     return Status::InvalidArgument(
         "method PSN requires a schema blocking key "
@@ -123,7 +115,8 @@ Status ValidateResolveRequest(const ResolveRequest& request) {
   return Status::Ok();
 }
 
-Resolver::Resolver(ResolverOptions options, std::unique_ptr<Engine> engine)
+Resolver::Resolver(ResolverOptions options,
+                   std::unique_ptr<ProgressiveEngine> engine)
     : options_(std::move(options)), engine_(std::move(engine)) {
   const obs::TelemetryScope& scope = options_.telemetry;
   if (scope.enabled()) {
@@ -141,14 +134,8 @@ Resolver::Resolver(ResolverOptions options, std::unique_ptr<Engine> engine)
 Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
                                                    ResolverOptions options) {
   SPER_RETURN_IF_ERROR(options.Validate());
-  std::unique_ptr<Engine> engine;
-  if (options.num_shards > 1) {
-    engine = std::make_unique<ShardedEngine>(store, ToEngineConfig(options),
-                                             options.num_shards);
-  } else {
-    engine =
-        std::make_unique<ProgressiveEngine>(store, ToEngineConfig(options));
-  }
+  auto engine =
+      std::make_unique<ProgressiveEngine>(store, ToEngineConfig(options));
   return std::unique_ptr<Resolver>(
       new Resolver(std::move(options), std::move(engine)));
 }

@@ -14,8 +14,8 @@
 #include "core/profile_store.h"
 #include "core/status.h"
 #include "core/types.h"
-#include "engine/engine.h"
 #include "engine/method.h"
+#include "engine/progressive_engine.h"
 #include "metablocking/edge_weighting.h"
 #include "obs/telemetry.h"
 #include "parallel/cancel.h"
@@ -23,21 +23,19 @@
 #include "sorted/neighbor_list.h"
 
 /// \file resolver.h
-/// The unified serving API: one `Resolver` in front of every engine
-/// implementation, and `ResolverSession`s that serve pay-as-you-go
-/// resolve requests from its long-lived ranked stream.
+/// The unified serving API: one `Resolver` in front of the engine, and
+/// `ResolverSession`s that serve pay-as-you-go resolve requests from its
+/// long-lived ranked stream.
 ///
 /// The paper's consumer is a client that repeatedly asks a long-lived
 /// resolver for "the next best comparisons under my budget". This layer
 /// makes that the public surface:
 ///
 ///   - `ResolverOptions` is the one configuration struct (method, threads,
-///     shards, global budget, method knobs) — validated with a
-///     clear error `Status` instead of silently falling back;
-///   - `Resolver::Create(store, options)` picks the implementation (plain
-///     `ProgressiveEngine`, `ShardedEngine` for `num_shards > 1`, each
-///     running the batch methods' refills on `num_threads` workers) and
-///     returns it behind the abstract `Engine` interface;
+///     global budget, method knobs) — validated with a clear error
+///     `Status` instead of silently falling back;
+///   - `Resolver::Create(store, options)` builds the `ProgressiveEngine`,
+///     which runs the batch methods' refills on `num_threads` workers;
 ///   - `ResolverSession::Resolve(ResolveRequest)` draws a budgeted slice
 ///     off the shared stream under ticketed FIFO admission: concurrent
 ///     requests are admitted strictly in ticket order, and concatenating
@@ -60,17 +58,11 @@ struct ResolverOptions {
   MethodId method = MethodId::kPps;
 
   /// Threads for the initialization phase (token-index build, block
-  /// filtering, edge weighting; split across shard constructions when
-  /// sharded) and the refill workers of the batch methods (PBS, PPS; per
-  /// shard max(1, num_threads / num_shards)). The emitted stream is
-  /// bit-identical at every setting. Must be in [1, kMaxThreads] — 0 is
-  /// rejected by Validate() rather than silently meaning "one thread".
+  /// filtering, edge weighting) and the refill workers of the batch
+  /// methods (PBS, PPS). The emitted stream is bit-identical at every
+  /// setting. Must be in [1, kMaxThreads] — 0 is rejected by Validate()
+  /// rather than silently meaning "one thread".
   std::size_t num_threads = 1;
-
-  /// Hash shards. 1 = plain engine; > 1 partitions the store and serves
-  /// one engine per shard behind a deterministic k-way merged stream in
-  /// original profile ids. Must be in [1, kMaxShards].
-  std::size_t num_shards = 1;
 
   /// Global pay-as-you-go budget: maximum comparisons the resolver will
   /// emit across all requests and drains; 0 = unlimited.
@@ -92,18 +84,15 @@ struct ResolverOptions {
   SchemaKeyFn schema_key;
 
   /// Telemetry sink: hand a scope into an obs::Registry to record
-  /// per-phase init timings (per shard when sharded), refill-map
-  /// health, k-way-merge draw balance and per-request session metrics
-  /// ("session.queue_wait_ns", "session.service_ns",
+  /// per-phase init timings, refill-map health and per-request session
+  /// metrics ("session.queue_wait_ns", "session.service_ns",
   /// "session.slice_comparisons" histograms plus "session.resolve"
   /// spans). Default-constructed = disabled; the emitted stream is
-  /// bit-identical either way, and the compile-time SPER_NO_TELEMETRY
-  /// switch removes the seam entirely.
+  /// bit-identical either way.
   obs::TelemetryScope telemetry;
 
   /// Validation bounds (shared with the CLI's strict flag parsing).
   static constexpr std::size_t kMaxThreads = 256;
-  static constexpr std::size_t kMaxShards = 1024;
 
   /// OK iff the configuration is servable; otherwise an InvalidArgument
   /// Status naming the offending field. Called by Resolver::Create.
@@ -220,7 +209,7 @@ enum class ResolveOutcome : std::uint8_t {
   /// poisoned. status is FailedPrecondition.
   kRejected,
   /// The request observed the engine's contained producer failure first;
-  /// status is Internal with shard/batch context. Terminal for the
+  /// status is Internal with batch context. Terminal for the
   /// resolver (later requests get kRejected).
   kFailed,
 };
@@ -257,8 +246,8 @@ struct ResolveResult {
   /// Why the request could not be (fully) served, as a transportable
   /// error. Ok for kServed/kDeadlineExpired/kCancelled/kEvicted (a cut is
   /// not an error); ResourceExhausted with a human-readable reason for
-  /// kShed; FailedPrecondition for kRejected; Internal — with shard and
-  /// batch context — for kFailed. Carries the message; `outcome` carries
+  /// kShed; FailedPrecondition for kRejected; Internal — with batch
+  /// context — for kFailed. Carries the message; `outcome` carries
   /// the decision.
   Status status = Status::Ok();
 
@@ -292,7 +281,7 @@ struct ResolveResult {
 
 class ResolverSession;
 
-/// The unified serving facade: owns one Engine picked by Create() and the
+/// The unified serving facade: owns the engine built by Create() and the
 /// FIFO admission state its sessions serve under. Being a
 /// ProgressiveEmitter, a Resolver still composes with every streaming
 /// consumer (evaluator, benches) as a plain un-batched drain.
@@ -305,29 +294,21 @@ class ResolverSession;
 /// Serve() calls.
 class Resolver : public ProgressiveEmitter {
  public:
-  /// Validates `options`, builds the matching engine (plain for one
-  /// shard, sharded otherwise)
-  /// and wraps it. Returns InvalidArgument without touching the store
-  /// when validation fails.
+  /// Validates `options`, builds the engine and wraps it. Returns
+  /// InvalidArgument without touching the store when validation fails.
   ///
-  /// Lifetime: the store must outlive the resolver. (With num_shards > 1
-  /// the shards copy their profiles and only construction reads the
-  /// store, but the plain engine keeps references into it for its whole
-  /// emission phase — see ProgressiveEmitter's lifetime note — so the
-  /// portable contract is store-outlives-resolver.)
+  /// Lifetime: the store must outlive the resolver — the engine keeps
+  /// references into it for its whole emission phase (see
+  /// ProgressiveEmitter's lifetime note).
   static Result<std::unique_ptr<Resolver>> Create(const ProfileStore& store,
                                                   ResolverOptions options);
 
   /// Un-batched drain: the globally next best comparison, honoring the
-  /// global budget. Equivalent to engine().Next().
+  /// global budget.
   std::optional<Comparison> Next() override { return engine_->Next(); }
 
   /// The underlying method's acronym, e.g. "PPS".
   std::string_view name() const override { return engine_->name(); }
-
-  /// The engine behind the resolver, through the abstract interface.
-  Engine& engine() { return *engine_; }
-  const Engine& engine() const { return *engine_; }
 
   /// Comparisons emitted so far (requests + drains combined).
   std::uint64_t emitted() const { return engine_->emitted(); }
@@ -335,11 +316,8 @@ class Resolver : public ProgressiveEmitter {
   /// True once the global budget has been spent (never for budget 0).
   bool BudgetExhausted() const { return engine_->BudgetExhausted(); }
 
-  /// Unified initialization diagnostics of the underlying engine.
+  /// Initialization diagnostics of the underlying engine.
   const InitStats& init_stats() const { return engine_->init_stats(); }
-
-  /// Shards serving the stream (1 for a plain engine).
-  std::size_t num_shards() const { return engine_->num_shards(); }
 
   /// The validated configuration the resolver was created with.
   const ResolverOptions& options() const { return options_; }
@@ -373,10 +351,11 @@ class Resolver : public ProgressiveEmitter {
   }
 
  private:
-  Resolver(ResolverOptions options, std::unique_ptr<Engine> engine);
+  Resolver(ResolverOptions options,
+           std::unique_ptr<ProgressiveEngine> engine);
 
   ResolverOptions options_;
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<ProgressiveEngine> engine_;
 
   /// Session metric sinks, created once at construction when telemetry is
   /// enabled (all nullptr otherwise). Histograms record nanoseconds

@@ -41,9 +41,6 @@ struct MethodConfig {
   /// workers (1 = one thread; emitted sequences are identical at every
   /// thread count).
   std::size_t num_threads = 1;
-  /// Hash shards for sharded serving (>1 routes through ShardedEngine:
-  /// one engine per shard, globally merged emission in original ids).
-  std::size_t num_shards = 1;
   /// Global pay-as-you-go budget (ResolverOptions::budget): maximum
   /// comparisons emitted across the whole run; 0 = unlimited.
   std::uint64_t budget = 0;
@@ -53,7 +50,7 @@ struct MethodConfig {
 
 /// The ResolverOptions equivalent of a MethodConfig for one method on one
 /// dataset (the dataset supplies the PSN schema key). MethodConfig is the
-/// old lenient surface: out-of-range thread/shard values are
+/// old lenient surface: out-of-range thread counts are
 /// normalized into ResolverOptions' validated ranges rather than
 /// rejected, so every config the harness ever ran keeps running.
 ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,

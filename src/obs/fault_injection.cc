@@ -9,8 +9,8 @@ namespace obs {
 
 namespace {
 
-/// splitmix64 — the same mixing constant set core/store_partition uses;
-/// one round is enough to decorrelate (seed ^ hit_index) into a uniform
+/// splitmix64 (Steele, Lea & Flood's SplittableRandom finalizer); one
+/// round is enough to decorrelate (seed ^ hit_index) into a uniform
 /// 64-bit draw for the Bernoulli gate.
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;

@@ -23,10 +23,8 @@
 /// failing run replays exactly.
 ///
 /// Instrumented seams (site names are part of the test/bench contract):
-///   - "refill" / "refill.<lbl>"  one refill, on the refill worker that
-///                                computes it (per shard when sharded,
-///                                e.g. "refill.shard0")
-///   - "merge.draw"               one ShardedEngine k-way-merge draw
+///   - "refill"                   one refill, on the refill worker that
+///                                computes it
 ///   - "session.admit"            one Resolver::Serve admission
 ///   - "qos.admit"                one QosAdmissionController::Resolve entry
 ///   - "qos.shed"                 one QoS load-shed (rate limit or queue

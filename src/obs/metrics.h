@@ -12,17 +12,12 @@
 /// to *read while being written* (snapshots see some consistent-enough
 /// recent value, never torn data) — which is what lets a metrics endpoint
 /// snapshot a live engine without stopping it.
-///
-/// These classes stay fully functional under SPER_NO_TELEMETRY; the
-/// compile-time switch removes the *instrumentation seams*
-/// (telemetry.h's TelemetryScope), not the primitives, so tests and
-/// direct users keep working either way.
 
 namespace sper {
 namespace obs {
 
 /// A monotonic counter, striped across cache lines so concurrent writers
-/// (e.g. the refill workers of every shard) never contend on one
+/// (e.g. the refill workers) never contend on one
 /// hot cache line. Each thread hashes to a stripe once (thread_local) and
 /// then increments with one relaxed fetch_add; value() sums the stripes.
 class Counter {
@@ -98,7 +93,7 @@ struct HistogramSnapshot {
 /// larger values get 4 sub-buckets per power of two, i.e. at most 25%
 /// relative bucket width. 256 buckets total cover the whole uint64 range
 /// with 2 KiB of storage, so a histogram is cheap enough to exist per
-/// shard per metric.
+/// metric per component.
 ///
 /// Quantiles are *exact-rank*: Quantile(q) finds the bucket containing
 /// the ceil(q * count)-th smallest recorded sample — the rank selection

@@ -10,77 +10,52 @@
 
 /// \file telemetry.h
 /// The instrumentation seam that library code holds: a TelemetryScope is
-/// a (Registry*, name-prefix) pair that flows through options structs
-/// (ResolverOptions -> EngineConfig -> per-shard scopes -> workflow /
-/// emitter options). Code instruments unconditionally against the scope;
-/// the scope decides whether anything happens:
-///
-///   - runtime off-mode: a default-constructed scope has no registry, so
-///     counter()/gauge()/histogram() return nullptr and RecordSpan is a
-///     no-op — instrumented sites cost one pointer test;
-///   - compile-time off-mode: with SPER_NO_TELEMETRY defined the scope
-///     collapses to an empty constexpr stub, so the registry plumbing
-///     compiles out entirely. The primitives (metrics.h, registry.h) and
-///     Stopwatch stay available either way.
+/// a Registry handle that flows through options structs
+/// (ResolverOptions -> EngineConfig -> workflow / emitter options). Code
+/// instruments unconditionally against the scope; the scope decides
+/// whether anything happens. The off-mode is a default-constructed scope:
+/// it has no registry, so counter()/gauge()/histogram() return nullptr
+/// and RecordSpan is a no-op — instrumented sites cost one pointer test.
 ///
 /// ScopedPhase is the RAII phase timer built on top: it times a named
 /// phase, records gauge "phase.<name>_seconds" plus a span into the
 /// scope, and always fills an optional double* out-param — so diagnostics
-/// like InitStats keep their numbers even with telemetry compiled out.
+/// like InitStats keep their numbers even with telemetry off.
 
 namespace sper {
 namespace obs {
 
-#ifndef SPER_NO_TELEMETRY
-
-/// A handle into a Registry with a hierarchical name prefix
-/// ("shard3." etc). Copyable and cheap; disabled when default-constructed
-/// (no registry).
+/// A handle into a Registry. Copyable and cheap; disabled when
+/// default-constructed (no registry).
 class TelemetryScope {
  public:
   TelemetryScope() = default;
-  explicit TelemetryScope(Registry* registry, std::string prefix = {})
-      : registry_(registry), prefix_(std::move(prefix)) {}
+  explicit TelemetryScope(Registry* registry) : registry_(registry) {}
 
   bool enabled() const { return registry_ != nullptr; }
   Registry* registry() const { return registry_; }
-  const std::string& prefix() const { return prefix_; }
 
-  /// A child scope whose metric names gain "<name>." on top of this
-  /// scope's prefix (e.g. Sub("shard0") -> "shard0.phase...").
-  TelemetryScope Sub(std::string_view name) const {
-    if (!enabled()) return {};
-    return TelemetryScope(registry_, prefix_ + std::string(name) + ".");
-  }
-
-  /// Get-or-create a metric named prefix + name; nullptr when disabled.
+  /// Get-or-create the named metric; nullptr when disabled.
   Counter* counter(std::string_view name) const {
-    return enabled() ? registry_->counter(FullName(name)) : nullptr;
+    return enabled() ? registry_->counter(name) : nullptr;
   }
   Gauge* gauge(std::string_view name) const {
-    return enabled() ? registry_->gauge(FullName(name)) : nullptr;
+    return enabled() ? registry_->gauge(name) : nullptr;
   }
   Histogram* histogram(std::string_view name) const {
-    return enabled() ? registry_->histogram(FullName(name)) : nullptr;
+    return enabled() ? registry_->histogram(name) : nullptr;
   }
 
-  /// Records a span named prefix + name; no-op when disabled.
+  /// Records the named span; no-op when disabled.
   void RecordSpan(std::string_view name, Stopwatch::TimePoint start,
                   Stopwatch::TimePoint end, std::string args_json = {}) const {
     if (enabled()) {
-      registry_->RecordSpan(FullName(name), start, end, std::move(args_json));
+      registry_->RecordSpan(name, start, end, std::move(args_json));
     }
   }
 
  private:
-  std::string FullName(std::string_view name) const {
-    std::string full = prefix_;
-    full += name;
-    return full;
-  }
-
   Registry* registry_ = nullptr;
-  std::string prefix_;
 };
 
 /// RAII timer for one named phase: on destruction (or Stop()) records
@@ -123,51 +98,6 @@ class ScopedPhase {
   bool stopped_ = false;
 };
 
-#else  // SPER_NO_TELEMETRY
-
-/// Compile-time off-mode: an empty scope whose accessors constant-fold
-/// away. Library code instruments against this interface unchanged.
-class TelemetryScope {
- public:
-  constexpr TelemetryScope() = default;
-  explicit TelemetryScope(Registry*, std::string = {}) {}
-
-  constexpr bool enabled() const { return false; }
-  constexpr Registry* registry() const { return nullptr; }
-  TelemetryScope Sub(std::string_view) const { return {}; }
-  constexpr Counter* counter(std::string_view) const { return nullptr; }
-  constexpr Gauge* gauge(std::string_view) const { return nullptr; }
-  constexpr Histogram* histogram(std::string_view) const { return nullptr; }
-  void RecordSpan(std::string_view, Stopwatch::TimePoint,
-                  Stopwatch::TimePoint, std::string = {}) const {}
-};
-
-/// Off-mode phase timer: still times (so *out_seconds stays correct for
-/// always-on diagnostics) but records nothing.
-class ScopedPhase {
- public:
-  ScopedPhase(const TelemetryScope&, std::string_view,
-              double* out_seconds = nullptr)
-      : out_seconds_(out_seconds) {}
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  ~ScopedPhase() { Stop(); }
-
-  void Stop() {
-    if (stopped_) return;
-    stopped_ = true;
-    if (out_seconds_ != nullptr) *out_seconds_ = watch_.ElapsedSeconds();
-  }
-
- private:
-  double* out_seconds_;
-  Stopwatch watch_;
-  bool stopped_ = false;
-};
-
-#endif  // SPER_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace sper

@@ -11,8 +11,7 @@
 /// \file cancel.h
 /// Cooperative cancellation for the serving stack: a `CancelToken` is a
 /// cheap shared handle that long-running pulls (Resolver::Serve draw
-/// loops, refill-window waits, k-way-merge refills) poll at batch
-/// granularity. Cancellation is *advisory* — a fired token never tears
+/// loops, refill-window waits) poll at batch granularity. Cancellation is *advisory* — a fired token never tears
 /// state down; it makes the current pull return "cancelled" with every
 /// buffer intact, so the next pull (the next request's) continues the
 /// stream bit-identically.

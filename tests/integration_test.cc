@@ -17,12 +17,13 @@ namespace sper {
 namespace {
 
 RunResult RunMethod(MethodId id, const DatasetBundle& dataset,
-                    double ecstar_max = 10.0) {
+                    double ecstar_max = 10.0, std::size_t num_threads = 1) {
   EvalOptions options;
   options.ecstar_max = ecstar_max;
   options.auc_at = {1.0, 5.0, 10.0};
   ProgressiveEvaluator evaluator(dataset.truth, options);
   MethodConfig config;
+  config.num_threads = num_threads;
   return evaluator.Run(
       [&] { return MakeResolver(id, dataset, config); });
 }
@@ -56,6 +57,25 @@ TEST(IntegrationTest, PpsIsNearIdealOnRestaurant) {
   ASSERT_TRUE(dataset.ok());
   RunResult pps = RunMethod(MethodId::kPps, dataset.value());
   EXPECT_GT(pps.auc_norm[0], 0.6);
+}
+
+TEST(IntegrationTest, EquivalenceMethodsKeepThePapersRecallOnCora) {
+  // PBS and PPS rank one global comparison order over the whole block
+  // collection, so on cora they find nearly every match by ec* = 10
+  // (0.999 for both), and the refill workers only change wall-clock:
+  // the recall curve is identical at every thread count.
+  Result<DatasetBundle> dataset = GenerateDataset("cora");
+  ASSERT_TRUE(dataset.ok());
+  for (MethodId id : {MethodId::kPps, MethodId::kPbs}) {
+    SCOPED_TRACE(std::string(ToString(id)));
+    const RunResult serial = RunMethod(id, dataset.value(), 10.0, 1);
+    const RunResult parallel = RunMethod(id, dataset.value(), 10.0, 4);
+    EXPECT_GE(serial.final_recall, 0.99);
+    EXPECT_GE(parallel.final_recall, 0.99);
+    EXPECT_EQ(serial.matches_found, parallel.matches_found);
+    ASSERT_EQ(serial.auc_norm.size(), 3u);
+    EXPECT_EQ(serial.auc_norm, parallel.auc_norm);
+  }
 }
 
 TEST(IntegrationTest, AdvancedMethodsReachHighRecallOnCensus) {

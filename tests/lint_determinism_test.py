@@ -203,6 +203,12 @@ class BannedIdentifierTest(unittest.TestCase):
         files = {"src/x/a.cc": "EngineOptions options;\n"}
         self.assertIn("DET006", rules(run(files)))
 
+    def test_flags_removed_sharding_layer(self):
+        files = {"src/x/a.cc": "ShardedEngine engine(store, config, 4);\n"
+                               "KWayMerge<int, Less> merge;\n"
+                               "auto shards = PartitionStore(store, 4);\n"}
+        self.assertEqual(rules(run(files)), ["DET006"] * 3)
+
     def test_silent_when_name_only_in_comment(self):
         files = {"src/x/a.cc":
                  "// EngineOptions was removed in PR 8.\nint x;\n"}

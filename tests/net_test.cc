@@ -13,7 +13,7 @@
 // - the loopback server serves remote clients through QoS with the same
 //   bit-identity guarantee in-process callers get: slices any set of
 //   concurrent connections received, re-sorted by ticket, equal one
-//   in-process drain — at shards 1 and 4, under TSan;
+//   in-process drain — at one and four refill workers, under TSan;
 // - a client that vanishes mid-stream poisons nothing: its lost slices
 //   leave ticket gaps, every other connection's slices stay bit-identical
 //   per ticket, and the server keeps serving new connections;
@@ -499,12 +499,13 @@ TEST(ServerLoopbackTest, SingleClientDrainIsBitIdentical) {
 
 // The acceptance gate: N concurrent clients with mixed priorities,
 // re-sorted by ticket, concatenate bit-identically to a single in-process
-// drain — at shards 1 and 4 (this test runs in the TSan CI job).
+// drain — at one and four refill workers (this test runs in the TSan CI
+// job).
 TEST(ServerLoopbackTest, ConcurrentMixedPriorityClientsAreBitIdentical) {
   const ProfileStore store = DirtyStore();
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     ResolverOptions options;
-    options.num_shards = shards;
+    options.num_threads = num_threads;
     const auto reference = ReferenceSlices(store, options, kSlice);
     ASSERT_FALSE(reference.empty());
 
@@ -533,7 +534,7 @@ TEST(ServerLoopbackTest, ConcurrentMixedPriorityClientsAreBitIdentical) {
       }
     }
     EXPECT_TRUE(SameComparisons(Flatten(merged), Flatten(reference)))
-        << "concurrent drain diverged at shards=" << shards;
+        << "concurrent drain diverged at threads=" << num_threads;
   }
 }
 
@@ -670,13 +671,11 @@ TEST(ServerLoopbackTest, MetricsFrameServesTheLiveRegistry) {
 
   Result<std::string> snapshot = client.FetchMetricsJson();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-#ifndef SPER_NO_TELEMETRY
   EXPECT_NE(snapshot.value().find("sper.metrics.v1"), std::string::npos);
   EXPECT_NE(snapshot.value().find("net.requests"), std::string::npos);
   EXPECT_NE(snapshot.value().find("net.frames_in"), std::string::npos);
   EXPECT_NE(snapshot.value().find("qos.interactive.admitted"),
             std::string::npos);
-#endif
 }
 
 TEST(ServerLoopbackTest, AnonymousClientsAreRateLimitedPerConnection) {

@@ -248,23 +248,15 @@ TEST(TelemetryScopeTest, DefaultScopeIsDisabledAndNull) {
   EXPECT_EQ(scope.counter("x"), nullptr);
   EXPECT_EQ(scope.gauge("x"), nullptr);
   EXPECT_EQ(scope.histogram("x"), nullptr);
-  // Sub of a disabled scope stays disabled.
-  EXPECT_FALSE(scope.Sub("shard0").enabled());
 }
 
-#ifndef SPER_NO_TELEMETRY
-
-TEST(TelemetryScopeTest, SubPrefixesMetricNames) {
+TEST(TelemetryScopeTest, EnabledScopeRecordsIntoItsRegistry) {
   Registry registry;
-  const TelemetryScope root(&registry);
-  EXPECT_TRUE(root.enabled());
-  const TelemetryScope shard = root.Sub("shard3");
-  shard.counter("pipeline.batches")->Add(5);
-  EXPECT_NE(registry.FindCounter("shard3.pipeline.batches"), nullptr);
-  EXPECT_EQ(registry.FindCounter("shard3.pipeline.batches")->value(), 5u);
-  // Nested Sub composes prefixes left to right.
-  root.Sub("a").Sub("b").gauge("g")->Set(1.0);
-  EXPECT_NE(registry.FindGauge("a.b.g"), nullptr);
+  const TelemetryScope scope(&registry);
+  EXPECT_TRUE(scope.enabled());
+  scope.counter("pipeline.batches")->Add(5);
+  ASSERT_NE(registry.FindCounter("pipeline.batches"), nullptr);
+  EXPECT_EQ(registry.FindCounter("pipeline.batches")->value(), 5u);
 }
 
 TEST(ScopedPhaseTest, RecordsGaugeSpanAndOutSeconds) {
@@ -294,12 +286,9 @@ TEST(ScopedPhaseTest, StopIsIdempotent) {
   EXPECT_DOUBLE_EQ(registry.FindGauge("phase.p_seconds")->value(), first);
 }
 
-#endif  // SPER_NO_TELEMETRY
-
 TEST(ScopedPhaseTest, DisabledScopeStillFillsOutSeconds) {
   // InitStats phase breakdowns rely on the timing even when no registry
-  // is attached (and under SPER_NO_TELEMETRY, where this is the only
-  // behavior left).
+  // is attached.
   const TelemetryScope scope;
   double seconds = -1.0;
   {

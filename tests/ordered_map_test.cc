@@ -29,7 +29,6 @@
 
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
-#include "engine/sharded_engine.h"
 #include "parallel/cancel.h"
 #include "parallel/ordered_map.h"
 #include "progressive/pbs.h"
@@ -323,23 +322,6 @@ TEST_P(OrderedRefillStreamTest, ProduceBatchConcatenatesToNext) {
   ExpectSameSequence(batched, reference);
 }
 
-TEST_P(OrderedRefillStreamTest, ShardedThreadCountsKeepTheMergedOrder) {
-  const ProfileStore store =
-      GetParam().clean_clean ? CleanCleanStore() : DirtyStore();
-  for (std::size_t num_shards : {1u, 4u}) {
-    EngineConfig serial;
-    serial.method = GetParam().method;
-    ShardedEngine reference(store, serial, num_shards);
-    const std::vector<Comparison> expected = Drain(&reference, 3000);
-
-    EngineConfig parallel = serial;
-    parallel.num_threads = 8;
-    ShardedEngine engine(store, parallel, num_shards);
-    SCOPED_TRACE("shards=" + std::to_string(num_shards));
-    ExpectSameSequence(Drain(&engine, 3000), expected);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     PpsAndPbs, OrderedRefillStreamTest,
     ::testing::Values(StreamCase{MethodId::kPps, false},
@@ -382,21 +364,6 @@ TEST(OrderedRefillEngineTest, DrainMidStreamStopsTheStream) {
   engine.Drain();
   EXPECT_FALSE(engine.Next().has_value());
   engine.Drain();  // idempotent
-}
-
-TEST(OrderedRefillEngineTest, ManyShardsWithOneWorkerEach) {
-  // 128 shards on 4 threads: every non-barren shard still gets its one
-  // refill worker, and the merged stream does not depend on it.
-  const ProfileStore store = DirtyStore();
-  EngineConfig serial;
-  serial.method = MethodId::kPps;
-  ShardedEngine reference(store, serial, 128);
-  const std::vector<Comparison> expected = Drain(&reference, 1000);
-
-  EngineConfig parallel = serial;
-  parallel.num_threads = 4;
-  ShardedEngine engine(store, parallel, 128);
-  ExpectSameSequence(Drain(&engine, 1000), expected);
 }
 
 TEST(OrderedRefillEngineTest, SortBasedMethodsIgnoreThreadsForEmission) {

@@ -2,12 +2,11 @@
 // under test:
 //
 // - Resolver::Create validates ResolverOptions with a clear error Status
-//   (no silent fallbacks) and picks plain vs sharded serving;
-// - ProgressiveEngine and ShardedEngine are interchangeable behind the
-//   abstract Engine interface (budget, stats, stream);
+//   (no silent fallbacks);
+// - the engine's budget accounting cuts the stream to an exact prefix;
 // - ResolverSession slices concatenate bit-identically to one un-batched
-//   drain at every (method, ER type, shards, threads, batch size)
-//   combination, including under concurrent ticketed FIFO admission;
+//   drain at every (method, ER type, threads, batch size) combination,
+//   including under concurrent ticketed FIFO admission;
 // - per-request pay-as-you-go: zero-budget requests buy nothing, the
 //   global budget exhausts mid-slice with the flag set.
 
@@ -24,7 +23,6 @@
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
 #include "engine/resolver.h"
-#include "engine/sharded_engine.h"
 
 namespace sper {
 namespace {
@@ -84,16 +82,6 @@ TEST(ResolverOptionsTest, CreateRejectsInvalidOptionsWithClearStatus) {
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r1.status().message().find("num_threads"), std::string::npos);
 
-  ResolverOptions zero_shards;
-  zero_shards.num_shards = 0;
-  EXPECT_EQ(Resolver::Create(store, zero_shards).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ResolverOptions too_many_shards;
-  too_many_shards.num_shards = ResolverOptions::kMaxShards + 1;
-  EXPECT_EQ(Resolver::Create(store, too_many_shards).status().code(),
-            StatusCode::kInvalidArgument);
-
   // PSN without a schema key used to abort inside the engine; the factory
   // reports it as a client error instead.
   ResolverOptions psn;
@@ -110,48 +98,36 @@ TEST(ResolverOptionsTest, CreateRejectsInvalidOptionsWithClearStatus) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ResolverOptionsTest, CreatePicksPlainAndShardedEngines) {
+TEST(ResolverOptionsTest, CreateBuildsTheRequestedMethod) {
   const ProfileStore store = DirtyStore();
-  ResolverOptions options;
-  std::unique_ptr<Resolver> plain = MustCreate(store, options);
-  EXPECT_EQ(plain->num_shards(), 1u);
-  EXPECT_EQ(plain->name(), "PPS");
-
-  options.num_shards = 4;
-  std::unique_ptr<Resolver> sharded = MustCreate(store, options);
-  EXPECT_EQ(sharded->num_shards(), 4u);
-  EXPECT_EQ(sharded->engine().num_shards(), 4u);
-  EXPECT_EQ(sharded->init_stats().shard_sizes.size(), 4u);
+  EXPECT_EQ(MustCreate(store, {})->name(), "PPS");
+  ResolverOptions pbs;
+  pbs.method = MethodId::kPbs;
+  EXPECT_EQ(MustCreate(store, pbs)->name(), "PBS");
 }
 
-// ------------------------------------------- Engine interface polymorphism
+// --------------------------------------------------------- engine budget
 
-TEST(EngineInterfaceTest, PlainAndShardedBehaveIdenticallyThroughBase) {
+TEST(EngineBudgetTest, BudgetedStreamIsThePrefixOfTheUnbudgetedOne) {
   const ProfileStore store = DirtyStore();
 
   EngineConfig config;
   config.method = MethodId::kPps;
+  ProgressiveEngine unbudgeted(store, config);
+  const std::vector<Comparison> reference = Drain(&unbudgeted, 40);
+
   config.budget = 40;
-
-  std::vector<std::unique_ptr<Engine>> engines;
-  engines.push_back(std::make_unique<ProgressiveEngine>(store, config));
-  engines.push_back(std::make_unique<ShardedEngine>(store, config, 4));
-
-  for (std::unique_ptr<Engine>& engine : engines) {
-    SCOPED_TRACE(std::string("shards=") +
-                 std::to_string(engine->num_shards()));
-    EXPECT_EQ(engine->name(), "PPS");
-    EXPECT_EQ(engine->emitted(), 0u);
-    EXPECT_FALSE(engine->BudgetExhausted());
-    EXPECT_GT(engine->init_stats().num_blocks, 0u);
-    EXPECT_GT(engine->init_stats().aggregate_cardinality, 0u);
-    // The budget contract lives in the shared BudgetedEngine base.
-    const std::vector<Comparison> emitted = Drain(engine.get(), 1000000);
-    EXPECT_EQ(emitted.size(), 40u);
-    EXPECT_EQ(engine->emitted(), 40u);
-    EXPECT_TRUE(engine->BudgetExhausted());
-    EXPECT_FALSE(engine->Next().has_value());
-  }
+  ProgressiveEngine engine(store, config);
+  EXPECT_EQ(engine.name(), "PPS");
+  EXPECT_EQ(engine.emitted(), 0u);
+  EXPECT_FALSE(engine.BudgetExhausted());
+  EXPECT_GT(engine.init_stats().num_blocks, 0u);
+  EXPECT_GT(engine.init_stats().aggregate_cardinality, 0u);
+  const std::vector<Comparison> emitted = Drain(&engine, 1000000);
+  ExpectSameSequence(emitted, reference);
+  EXPECT_EQ(engine.emitted(), 40u);
+  EXPECT_TRUE(engine.BudgetExhausted());
+  EXPECT_FALSE(engine.Next().has_value());
 }
 
 // --------------------------------------------- session batching determinism
@@ -169,41 +145,36 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
       GetParam().clean_clean ? CleanCleanStore() : DirtyStore();
   constexpr std::uint64_t kBudget = 1500;
 
-  for (std::size_t num_shards : {std::size_t{1}, std::size_t{4}}) {
-    ResolverOptions options;
-    options.method = GetParam().method;
-    options.num_shards = num_shards;
-    options.budget = kBudget;
+  ResolverOptions options;
+  options.method = GetParam().method;
+  options.budget = kBudget;
 
-    // The reference: one un-batched drain of the whole budgeted stream.
-    const std::vector<Comparison> reference =
-        Drain(MustCreate(store, options).get(), 1000000);
-    ASSERT_FALSE(reference.empty());
+  // The reference: one un-batched drain of the whole budgeted stream.
+  const std::vector<Comparison> reference =
+      Drain(MustCreate(store, options).get(), 1000000);
+  ASSERT_FALSE(reference.empty());
 
-    for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                std::size_t{256}}) {
-        ResolverOptions batched = options;
-        batched.num_threads = num_threads;
-        std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
-        ResolverSession session = resolver->OpenSession();
-        std::vector<Comparison> concatenated;
-        for (;;) {
-          ResolveResult slice = session.Resolve({batch, batch});
-          EXPECT_LE(slice.comparisons.size(), batch);
-          concatenated.insert(concatenated.end(),
-                              slice.comparisons.begin(),
-                              slice.comparisons.end());
-          if (slice.comparisons.empty() || slice.budget_exhausted ||
-              slice.stream_exhausted) {
-            break;
-          }
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                              std::size_t{256}}) {
+      ResolverOptions batched = options;
+      batched.num_threads = num_threads;
+      std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
+      ResolverSession session = resolver->OpenSession();
+      std::vector<Comparison> concatenated;
+      for (;;) {
+        ResolveResult slice = session.Resolve({batch, batch});
+        EXPECT_LE(slice.comparisons.size(), batch);
+        concatenated.insert(concatenated.end(), slice.comparisons.begin(),
+                            slice.comparisons.end());
+        if (slice.comparisons.empty() || slice.budget_exhausted ||
+            slice.stream_exhausted) {
+          break;
         }
-        SCOPED_TRACE("shards=" + std::to_string(num_shards) +
-                     " threads=" + std::to_string(num_threads) +
-                     " batch=" + std::to_string(batch));
-        ExpectSameSequence(concatenated, reference);
       }
+      SCOPED_TRACE("threads=" + std::to_string(num_threads) +
+                   " batch=" + std::to_string(batch));
+      ExpectSameSequence(concatenated, reference);
     }
   }
 }

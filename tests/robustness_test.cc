@@ -8,14 +8,14 @@
 // - cancellation and deadlines are *advisory*: a cut request returns its
 //   partial slice with the flag set and nothing torn down — the next
 //   ticket continues the stream bit-identically, at every (method,
-//   shards, threads) combination;
+//   threads) combination;
 // - Drain() stops admitting, lets in-flight tickets finish, and is safe
 //   to race with concurrent Serve(): every request is either fully
 //   served or cleanly rejected with FailedPrecondition, and the served
 //   slices in ticket order form an exact prefix of the un-batched drain;
 // - the QoS admission controller (src/serving/qos.h) composes with all
 //   of the above: shed-then-retry clients still reassemble the exact
-//   stream at every (method, shards, threads) combination, batch
+//   stream at every (method, threads) combination, batch
 //   requests wait a bounded number of dispatches under sustained
 //   interactive load (smooth WRR), doomed requests are evicted without
 //   consuming stream capacity while barely-feasible ones are served, and
@@ -24,7 +24,7 @@
 // - ThreadPool surfaces the first task exception from Wait() and counts
 //   the rest in dropped_exceptions() instead of discarding them;
 // - with SPER_FAULT_INJECT compiled in (skipped otherwise): an injected
-//   refill failure poisons the engine with shard and batch context, later
+//   refill failure poisons the engine with batch context, later
 //   requests get FailedPrecondition; an injected stall plus a deadline
 //   cuts slices short, and disarming then draining the rest still
 //   reassembles the exact reference stream.
@@ -91,21 +91,18 @@ std::unique_ptr<Resolver> MustCreate(const ProfileStore& store,
   return std::move(resolver).value();
 }
 
-/// The (method, shards, threads) matrix every continuation guarantee is
-/// checked against — the same coverage the determinism suite uses.
+/// The (method, threads) matrix every continuation guarantee is checked
+/// against — the same coverage the determinism suite uses.
 struct ServingConfig {
   MethodId method;
-  std::size_t num_shards;
   std::size_t num_threads;
 };
 
 std::vector<ServingConfig> ServingMatrix() {
   std::vector<ServingConfig> matrix;
   for (MethodId method : {MethodId::kPps, MethodId::kPbs}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        matrix.push_back({method, shards, threads});
-      }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      matrix.push_back({method, threads});
     }
   }
   return matrix;
@@ -113,7 +110,6 @@ std::vector<ServingConfig> ServingMatrix() {
 
 std::string TraceOf(const ServingConfig& config) {
   return std::string(ToString(config.method)) +
-         " shards=" + std::to_string(config.num_shards) +
          " threads=" + std::to_string(config.num_threads);
 }
 
@@ -186,7 +182,6 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
     options.num_threads = config.num_threads;
     options.budget = kBudget;
 
@@ -291,7 +286,6 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
     options.num_threads = config.num_threads;
     options.budget = kBudget;
 
@@ -399,7 +393,6 @@ TEST(ResolverDrainTest, ConcurrentServeDrainAndSnapshotAreRaceFree) {
   obs::Registry registry;
   ResolverOptions options;
   options.method = MethodId::kPps;
-  options.num_shards = 2;
   options.num_threads = 2;
   options.budget = 1500;
   options.telemetry = obs::TelemetryScope(&registry);
@@ -453,7 +446,7 @@ void AwaitQueueDepth(const serving::QosAdmissionController& controller,
 
 // A rate-limited client that backs off by exactly the controller's
 // retry_after_ms hint and retries still reassembles the bit-identical
-// stream at every (method, shards, threads) combination — sheds never
+// stream at every (method, threads) combination — sheds never
 // consume stream capacity and never reorder it.
 TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
   const ProfileStore store = DirtyStore();
@@ -461,7 +454,6 @@ TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
     options.num_threads = config.num_threads;
     options.budget = 600;
     const std::vector<Comparison> reference =
@@ -546,13 +538,12 @@ TEST(QosRobustnessTest, BatchWaitIsBoundedUnderSustainedInteractiveLoad) {
   EXPECT_EQ(batch_tickets[1], 7u);
 }
 
-// Doomed eviction composes with a sharded, multi-worker engine: the evicted
+// Doomed eviction composes with a multi-worker engine: the evicted
 // request spends no stream capacity, so the barely-feasible one that
 // follows it still reads the exact head of the stream.
 TEST(QosRobustnessTest, DoomedEvictionVsBarelyMakesDeadline) {
   const ProfileStore store = DirtyStore();
   ResolverOptions options;
-  options.num_shards = 2;
   options.num_threads = 2;
   const std::vector<Comparison> reference =
       Drain(MustCreate(store, options).get(), 32);
@@ -688,22 +679,21 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::FaultRegistry::Global().Reset();
 
-    // Shard 0's second refill throws; the other shards stay healthy.
+    // Every refill after the first throws.
     obs::FaultPlan plan;
     plan.action = obs::FaultPlan::Action::kThrow;
     plan.message = "injected refill failure";
     plan.start_after = 1;
-    obs::FaultRegistry::Global().Arm("refill.shard0", plan);
+    obs::FaultRegistry::Global().Arm("refill", plan);
 
     ResolverOptions options;
-    options.num_shards = 4;
     options.num_threads = threads;
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
     ResolverSession session = resolver->OpenSession();
 
     // The failure is contained: some requests may still serve from
     // batches produced before the throw, then exactly one request
-    // reports the Internal status with shard and batch context.
+    // reports the Internal status with the engine's batch context.
     ResolveResult failed;
     for (int k = 0; k < 64; ++k) {
       failed = session.Resolve({256, 0});
@@ -711,9 +701,8 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     }
     ASSERT_FALSE(failed.status.ok()) << "fault never surfaced";
     EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
-    EXPECT_NE(failed.status.message().find("shard0"), std::string::npos)
-        << failed.status.ToString();
-    EXPECT_NE(failed.status.message().find("batch"), std::string::npos)
+    EXPECT_NE(failed.status.message().find("refill failed (engine, batch "),
+              std::string::npos)
         << failed.status.ToString();
     EXPECT_NE(failed.status.message().find("injected refill failure"),
               std::string::npos)
@@ -795,13 +784,11 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   obs::FaultPlan probe;
   probe.action = obs::FaultPlan::Action::kStall;
   probe.stall_ms = 0;
-  for (const char* site :
-       {"refill.shard0", "merge.draw", "session.admit"}) {
+  for (const char* site : {"refill", "session.admit"}) {
     obs::FaultRegistry::Global().Arm(site, probe);
   }
 
   ResolverOptions options;
-  options.num_shards = 2;
   options.num_threads = 2;
   options.budget = 600;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
@@ -816,8 +803,7 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   resolver->Drain();
 
   obs::FaultRegistry& registry = obs::FaultRegistry::Global();
-  EXPECT_GT(registry.hits("refill.shard0"), 0u);
-  EXPECT_GT(registry.hits("merge.draw"), 0u);
+  EXPECT_GT(registry.hits("refill"), 0u);
   EXPECT_GT(registry.hits("session.admit"), 0u);
 }
 

@@ -1,7 +1,7 @@
 // Telemetry must be a pure observer: attaching a TelemetryScope to a
 // resolver records metrics and spans but MUST NOT perturb the emitted
 // comparison stream — bit-identical with telemetry on or off at every
-// serving shape (plain/sharded, one or four refill workers). These tests
+// serving shape (one or four refill workers). These tests
 // pin that contract for both batch-refilling methods, plus the shape of
 // what gets recorded (per-phase InitStats, session histograms, spans).
 
@@ -45,7 +45,6 @@ void ExpectSameSequence(const std::vector<Comparison>& a,
 
 struct Shape {
   MethodId method;
-  std::size_t num_shards;
   std::size_t num_threads;
 };
 
@@ -57,7 +56,6 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
   ASSERT_TRUE(dataset.ok());
 
   MethodConfig off;
-  off.num_shards = shape.num_shards;
   off.num_threads = shape.num_threads;
   std::unique_ptr<Resolver> plain =
       MakeResolver(shape.method, dataset.value(), off);
@@ -76,22 +74,18 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByShape, TelemetryShapeTest,
-    ::testing::Values(Shape{MethodId::kPps, 1, 1}, Shape{MethodId::kPps, 1, 4},
-                      Shape{MethodId::kPps, 4, 1}, Shape{MethodId::kPps, 4, 4},
-                      Shape{MethodId::kPbs, 1, 1}, Shape{MethodId::kPbs, 1, 4},
-                      Shape{MethodId::kPbs, 4, 1},
-                      Shape{MethodId::kPbs, 4, 4}),
+    ::testing::Values(Shape{MethodId::kPps, 1}, Shape{MethodId::kPps, 4},
+                      Shape{MethodId::kPbs, 1}, Shape{MethodId::kPbs, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       std::string name(ToString(info.param.method));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_shards" + std::to_string(info.param.num_shards) +
-             "_threads" + std::to_string(info.param.num_threads);
+      return name + "_threads" + std::to_string(info.param.num_threads);
     });
 
 TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
-  // The plain engine runs its phases sequentially, so the breakdown must
+  // The engine runs its phases sequentially, so the breakdown must
   // be present (workflow steps + method_build), each non-negative, and
   // init_seconds stays the authoritative total.
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
@@ -105,7 +99,6 @@ TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
   bool saw_method_build = false;
   double sum = 0.0;
   for (const InitPhase& phase : stats.phases) {
-    EXPECT_EQ(phase.shard, 0u) << phase.name;
     EXPECT_GE(phase.seconds, 0.0) << phase.name;
     sum += phase.seconds;
     saw_token_blocking |= phase.name == "token_blocking";
@@ -115,31 +108,6 @@ TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
   EXPECT_TRUE(saw_method_build);
   EXPECT_LE(sum, stats.init_seconds + 1e-6);
 }
-
-TEST(TelemetryInitStatsTest, ShardedEngineReportsPerShardPhases) {
-  Result<DatasetBundle> dataset = GenerateDataset("restaurant");
-  ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
-  config.num_shards = 4;
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
-  const InitStats& stats = resolver->init_stats();
-  // One "partition" phase on shard 0, then every shard contributes its
-  // inner engine's phases (workflow + method_build).
-  ASSERT_FALSE(stats.phases.empty());
-  EXPECT_EQ(stats.phases.front().name, "partition");
-  std::vector<int> method_builds(config.num_shards, 0);
-  for (const InitPhase& phase : stats.phases) {
-    ASSERT_LT(phase.shard, config.num_shards);
-    EXPECT_GE(phase.seconds, 0.0);
-    if (phase.name == "method_build") ++method_builds[phase.shard];
-  }
-  for (std::size_t s = 0; s < config.num_shards; ++s) {
-    EXPECT_EQ(method_builds[s], 1) << "shard " << s;
-  }
-}
-
-#ifndef SPER_NO_TELEMETRY
 
 TEST(TelemetrySessionTest, SessionHistogramsMatchRequestCount) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
@@ -179,38 +147,22 @@ TEST(TelemetrySessionTest, SessionHistogramsMatchRequestCount) {
   EXPECT_GE(registry.num_spans(), kRequests);
 }
 
-TEST(TelemetrySessionTest, PipelineAndMergeMetricsAppearWhenSharded) {
+TEST(TelemetrySessionTest, PipelineMetricsAppearWithRefillWorkers) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
   MethodConfig config;
-  config.num_shards = 2;
   config.num_threads = 4;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
       MakeResolver(MethodId::kPps, dataset.value(), config);
-  const std::vector<Comparison> drained = Drain(resolver.get(), 2000);
-  ASSERT_FALSE(drained.empty());
+  ASSERT_FALSE(Drain(resolver.get(), 2000).empty());
 
-  // Per-shard init gauges and pipeline counters exist under the shard
-  // prefix; the merge draw counters across shards account for every
-  // drained comparison.
-  std::uint64_t draws = 0;
-  for (std::size_t s = 0; s < config.num_shards; ++s) {
-    const std::string prefix = "shard" + std::to_string(s) + ".";
-    EXPECT_NE(registry.FindGauge(prefix + "phase.init_seconds"), nullptr);
-    const obs::Counter* batches =
-        registry.FindCounter(prefix + "pipeline.batches");
-    ASSERT_NE(batches, nullptr);
-    EXPECT_GT(batches->value(), 0u);
-    EXPECT_NE(registry.FindHistogram(prefix + "pipeline.ring_occupancy"),
-              nullptr);
-    const obs::Counter* shard_draws =
-        registry.FindCounter("merge.shard" + std::to_string(s) + ".draws");
-    ASSERT_NE(shard_draws, nullptr);
-    draws += shard_draws->value();
-  }
-  EXPECT_EQ(draws, drained.size());
+  EXPECT_NE(registry.FindGauge("phase.init_seconds"), nullptr);
+  const obs::Counter* batches = registry.FindCounter("pipeline.batches");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_GT(batches->value(), 0u);
+  EXPECT_NE(registry.FindHistogram("pipeline.ring_occupancy"), nullptr);
 }
 
 TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
@@ -233,8 +185,6 @@ TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
         << json;
   }
 }
-
-#endif  // SPER_NO_TELEMETRY
 
 }  // namespace
 }  // namespace sper

@@ -2,8 +2,7 @@
 """Repo-specific determinism lint for the sper codebase.
 
 The library's core contract is that emitted comparison streams are
-bit-identical at every thread count and shard count (README
-"Determinism"). Most violations of that contract come from a
+bit-identical at every thread count (README "Determinism"). Most violations of that contract come from a
 handful of well-known C++ patterns, so this lint bans them outright in
 src/:
 
@@ -25,9 +24,11 @@ src/:
                               error slots), not thrown across threads.
   DET005 banned-strtod        atof/atoi/atol/atoll: locale-sensitive and
                               error-silent number parsing.
-  DET006 banned-identifier    Identifiers removed in PR 8 (EngineOptions,
+  DET006 banned-identifier    Identifiers of removed APIs (EngineOptions,
                               ShardedEngineOptions, MakeEmitter,
-                              EngineInitStats, ShardedInitStats) must not
+                              EngineInitStats, ShardedInitStats, and the
+                              hash-sharding layer: ShardedEngine,
+                              KWayMerge, PartitionStore) must not
                               reappear.
 
 Comments and string/char literals are stripped (line numbers preserved)
@@ -70,7 +71,8 @@ UNORDERED_ACCESSORS = ("pairs",)
 BANNED_RANDOM = ("rand", "srand", "random_device", "time", "clock")
 BANNED_STRTOD = ("atof", "atoi", "atol", "atoll")
 BANNED_IDENTIFIERS = ("EngineOptions", "ShardedEngineOptions", "MakeEmitter",
-                      "EngineInitStats", "ShardedInitStats")
+                      "EngineInitStats", "ShardedInitStats", "ShardedEngine",
+                      "KWayMerge", "PartitionStore")
 
 
 @dataclass
@@ -326,14 +328,14 @@ def check_banned_strtod(path: str, text: str):
 
 
 def check_banned_identifiers(path: str, text: str):
-    """DET006: identifiers deleted in PR 8 must not come back."""
+    """DET006: identifiers of deleted APIs must not come back."""
     violations = []
     for name in BANNED_IDENTIFIERS:
         for m in re.finditer(r"\b%s\b" % name, text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET006",
                 f"'{name}' was removed (use ResolverOptions / EngineConfig "
-                "/ InitStats / MakeResolver)"))
+                "/ InitStats / MakeResolver / ProgressiveEngine)"))
     return violations
 
 

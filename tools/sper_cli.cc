@@ -8,17 +8,15 @@
 //       PREFIX_profiles.csv / PREFIX_truth.csv.
 //
 //   sper_cli run <dataset> --method=NAME [--seed=N] [--scale=S]
-//                [--ecmax=E] [--threads=N] [--shards=N]
-//                [--budget=N] [--deadline-ms=N] [--priority=NAME]
+//                [--ecmax=E] [--threads=N] [--budget=N]
+//                [--deadline-ms=N] [--priority=NAME]
 //                [--client-rate=R] [--curve=FILE.csv]
 //                [--metrics-json=FILE] [--trace=FILE]
 //       Run one progressive method under the paper's evaluation protocol;
 //       print the recall curve and AUC*, optionally dump the curve as CSV.
 //       --threads parallelizes the initialization phase and the PBS/PPS
-//       refills (same output at every thread count). --shards=N
-//       hash-partitions the store and serves one engine per shard behind
-//       a merged emission stream. --budget=N caps the run at N
-//       emitted comparisons (the pay-as-you-go budget,
+//       refills (same output at every thread count). --budget=N caps the
+//       run at N emitted comparisons (the pay-as-you-go budget,
 //       ResolverOptions::budget; 0 = unlimited). --deadline-ms=N serves
 //       the drain through the session layer with an N-millisecond
 //       deadline per resolve request (ResolveRequest::deadline_ms);
@@ -44,14 +42,13 @@
 //       --buget=100) are errors, never a silent fallback.
 //
 //   sper_cli inspect <dataset> [--seed=N] [--scale=S] [--threads=N]
-//                    [--shards=N] [--method=NAME]
-//       Dataset statistics plus Token-Blocking-Workflow block statistics;
-//       --shards adds the per-shard partition breakdown. Also constructs
-//       the --method resolver (default pps) and prints its per-phase
-//       initialization breakdown (per shard when sharded).
+//                    [--method=NAME]
+//       Dataset statistics plus Token-Blocking-Workflow block statistics.
+//       Also constructs the --method resolver (default pps) and prints
+//       its per-phase initialization breakdown.
 //
 //   sper_cli serve <dataset> --listen=HOST:PORT [--method=NAME] [--seed=N]
-//                  [--scale=S] [--threads=N] [--shards=N] [--budget=N]
+//                  [--scale=S] [--threads=N] [--budget=N]
 //                  [--client-rate=R] [--max-queue-depth=N]
 //                  [--max-connections=N]
 //       Serve the dataset's resolver over TCP (net/server.h, wire
@@ -95,7 +92,6 @@
 #include <string>
 #include <thread>
 
-#include "core/store_partition.h"
 #include "datagen/datagen.h"
 #include "engine/resolver.h"
 #include "obs/registry.h"
@@ -222,10 +218,6 @@ std::string OptPath(const CliArgs& args, const std::string& key) {
 
 std::size_t OptThreads(const CliArgs& args) {
   return OptUint(args, "threads", 1, 1, ResolverOptions::kMaxThreads);
-}
-
-std::size_t OptShards(const CliArgs& args) {
-  return OptUint(args, "shards", 1, 1, ResolverOptions::kMaxShards);
 }
 
 std::uint64_t OptBudget(const CliArgs& args) {
@@ -392,13 +384,13 @@ class SessionEmitter : public ProgressiveEmitter {
 
 int CmdRun(const CliArgs& args) {
   RequireKnownOptions(args, {"seed", "scale", "method", "ecmax", "threads",
-                             "shards", "budget", "deadline-ms",
+                             "budget", "deadline-ms",
                              "priority", "client-rate", "curve",
                              "metrics-json", "trace"});
   if (args.positional.size() < 2 || !args.options.count("method")) {
     std::fprintf(stderr, "usage: sper_cli run <dataset> --method=NAME "
                          "[--seed=N] [--scale=S] [--ecmax=E] [--threads=N] "
-                         "[--shards=N] [--budget=N] "
+                         "[--budget=N] "
                          "[--deadline-ms=N] [--priority=NAME] "
                          "[--client-rate=R] [--curve=FILE.csv] "
                          "[--metrics-json=FILE] [--trace=FILE]\n");
@@ -418,7 +410,6 @@ int CmdRun(const CliArgs& args) {
   ProgressiveEvaluator evaluator(dataset.value().truth, options);
   MethodConfig config;
   config.num_threads = OptThreads(args);
-  config.num_shards = OptShards(args);
   config.budget = OptBudget(args);
   std::unique_ptr<Resolver> probe =
       MakeResolver(method, dataset.value(), config);
@@ -482,13 +473,8 @@ int CmdRun(const CliArgs& args) {
         return emitter;
       });
 
-  if (config.num_shards > 1) {
-    std::printf("sharded serving: %zu hash shards, merged emission\n",
-                config.num_shards);
-  }
   if (config.budget > 0) {
-    std::printf("pay-as-you-go budget: %llu comparisons (global across "
-                "shards)\n",
+    std::printf("pay-as-you-go budget: %llu comparisons\n",
                 static_cast<unsigned long long>(config.budget));
   }
   if (deadline_ms > 0) {
@@ -553,12 +539,10 @@ int CmdRun(const CliArgs& args) {
 }
 
 int CmdInspect(const CliArgs& args) {
-  RequireKnownOptions(args, {"seed", "scale", "threads", "shards",
-                             "method"});
+  RequireKnownOptions(args, {"seed", "scale", "threads", "method"});
   if (args.positional.size() < 2) {
     std::fprintf(stderr, "usage: sper_cli inspect <dataset> [--seed=N] "
-                         "[--scale=S] [--threads=N] [--shards=N] "
-                         "[--method=NAME]\n");
+                         "[--scale=S] [--threads=N] [--method=NAME]\n");
     return 2;
   }
   Result<DatasetBundle> dataset =
@@ -577,8 +561,7 @@ int CmdInspect(const CliArgs& args) {
   }
   std::printf("\n  matches |D_P|:  %zu\n", ds.truth.num_matches());
   std::printf("  mean |p|:       %.2f\n", ds.store.MeanProfileSize());
-  std::printf("  serving:        threads=%zu shards=%zu\n",
-              OptThreads(args), OptShards(args));
+  std::printf("  serving:        threads=%zu\n", OptThreads(args));
 
   TokenWorkflowOptions workflow_options;
   workflow_options.num_threads = OptThreads(args);
@@ -593,34 +576,12 @@ int CmdInspect(const CliArgs& args) {
               static_cast<unsigned long long>(
                   workflow.AggregateCardinality()));
 
-  const std::size_t num_shards = OptShards(args);
-  if (num_shards > 1) {
-    std::printf("\nhash partition into %zu shards:\n", num_shards);
-    std::vector<StoreShard> shards = PartitionStore(ds.store, num_shards);
-    TextTable table({"shard", "profiles", "workflow blocks", "||B||"});
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      std::string profiles = std::to_string(shards[s].store.size());
-      if (ds.store.er_type() == ErType::kCleanClean) {
-        profiles += " (" + std::to_string(shards[s].store.source1_size()) +
-                    "+" + std::to_string(shards[s].store.source2_size()) +
-                    ")";
-      }
-      BlockCollection shard_blocks =
-          BuildTokenWorkflowBlocks(shards[s].store, workflow_options);
-      table.AddRow({std::to_string(s), std::move(profiles),
-                    std::to_string(shard_blocks.size()),
-                    std::to_string(shard_blocks.AggregateCardinality())});
-    }
-    table.Print();
-  }
-
   // Per-phase initialization breakdown of the requested method: build
   // the resolver once with a telemetry scope and print
-  // InitStats::phases (per shard when sharded).
+  // InitStats::phases.
   const MethodId method = ParseMethod(OptString(args, "method", "pps"));
   MethodConfig config;
   config.num_threads = OptThreads(args);
-  config.num_shards = num_shards;
   obs::Registry registry;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver = MakeResolver(method, ds, config);
@@ -633,10 +594,9 @@ int CmdInspect(const CliArgs& args) {
   const InitStats& stats = resolver->init_stats();
   std::printf("\n%s init breakdown (%.3fs total):\n",
               std::string(ToString(method)).c_str(), stats.init_seconds);
-  TextTable breakdown({"shard", "phase", "seconds"});
+  TextTable breakdown({"phase", "seconds"});
   for (const InitPhase& phase : stats.phases) {
-    breakdown.AddRow({std::to_string(phase.shard), phase.name,
-                      FormatDouble(phase.seconds, 4)});
+    breakdown.AddRow({phase.name, FormatDouble(phase.seconds, 4)});
   }
   breakdown.Print();
   return 0;
@@ -653,13 +613,13 @@ extern "C" void HandleStopSignal(int /*signum*/) {
 
 int CmdServe(const CliArgs& args) {
   RequireKnownOptions(args, {"listen", "method", "seed", "scale", "threads",
-                             "shards", "budget", "client-rate",
+                             "budget", "client-rate",
                              "max-queue-depth", "max-connections"});
   if (args.positional.size() < 2 || !args.options.count("listen")) {
     std::fprintf(stderr,
                  "usage: sper_cli serve <dataset> --listen=HOST:PORT "
                  "[--method=NAME] [--seed=N] [--scale=S] [--threads=N] "
-                 "[--shards=N] [--budget=N] "
+                 "[--budget=N] "
                  "[--client-rate=R] [--max-queue-depth=N] "
                  "[--max-connections=N]\n");
     return 2;
@@ -682,7 +642,6 @@ int CmdServe(const CliArgs& args) {
   obs::Registry registry;
   MethodConfig config;
   config.num_threads = OptThreads(args);
-  config.num_shards = OptShards(args);
   config.budget = OptBudget(args);
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
@@ -729,10 +688,9 @@ int CmdServe(const CliArgs& args) {
   // matters when --listen ends in :0).
   std::printf("listening on %s:%u\n", server_options.host.c_str(),
               static_cast<unsigned>(server.value()->port()));
-  std::printf("serving %s on %s (threads=%zu shards=%zu%s%s)\n",
+  std::printf("serving %s on %s (threads=%zu%s%s)\n",
               std::string(ToString(method)).c_str(),
               dataset.value().name.c_str(), config.num_threads,
-              config.num_shards,
               config.budget > 0 ? ", budgeted" : "",
               server_options.qos.client_rate > 0.0 ? ", rate-limited" : "");
   std::fflush(stdout);
