@@ -13,7 +13,8 @@
 // rows): the same drain with a live obs::Registry attached, reporting the
 // on/off wall-clock ratio as an "overhead" extra plus the refill map's
 // health read off the registry (ready-window quantiles, stall/wait
-// counts).
+// counts). The on and off repeats are interleaved, alternating which
+// runs first, so run order does not bias the ratio.
 //
 // Every row must emit the *bit-identical* comparison stream (same pairs,
 // same weights, same order); the bench folds every emission into an
@@ -177,18 +178,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(budget),
               std::thread::hardware_concurrency());
 
-  // Best-of-`repeat` drain; the kept registry belongs to the best run.
-  const auto best_of = [&](std::size_t threads,
-                           std::unique_ptr<obs::Registry>* registry) {
-    DrainResult best;
+  // Best-of-`repeat` drains with telemetry off and on, interleaved:
+  // repeat r runs off-then-on when r is even and on-then-off when odd, so
+  // neither side always inherits the other's warm allocator and caches
+  // (--repeat=1 leaves the off-then-on order). The kept registry belongs
+  // to the best observed run.
+  struct BestPair {
+    DrainResult plain;
+    DrainResult observed;
+    std::unique_ptr<obs::Registry> registry;
+  };
+  const auto best_pair = [&](std::size_t threads) {
+    BestPair best;
     for (int r = 0; r < repeat; ++r) {
-      auto run_registry =
-          registry != nullptr ? std::make_unique<obs::Registry>() : nullptr;
-      DrainResult run =
-          RunOnce(store, *method, threads, budget, run_registry.get());
-      if (r == 0 || run.wall_ms < best.wall_ms) {
-        best = run;
-        if (registry != nullptr) *registry = std::move(run_registry);
+      for (int k = 0; k < 2; ++k) {
+        const bool observed = (k == 1) == (r % 2 == 0);
+        auto run_registry =
+            observed ? std::make_unique<obs::Registry>() : nullptr;
+        DrainResult run =
+            RunOnce(store, *method, threads, budget, run_registry.get());
+        DrainResult& kept = observed ? best.observed : best.plain;
+        if (r == 0 || run.wall_ms < kept.wall_ms) {
+          kept = run;
+          if (observed) best.registry = std::move(run_registry);
+        }
       }
     }
     return best;
@@ -201,7 +214,8 @@ int main(int argc, char** argv) {
   DrainResult reference;
   for (std::size_t t = 0; t < thread_counts.size(); ++t) {
     const std::size_t threads = thread_counts[t];
-    const DrainResult plain = best_of(threads, nullptr);
+    const BestPair pair = best_pair(threads);
+    const DrainResult& plain = pair.plain;
     if (t == 0) reference = plain;
     const bool match = plain.SameStream(reference);
     ok = ok && match;
@@ -218,8 +232,7 @@ int main(int argc, char** argv) {
     // registry attached. The stream must stay bit-identical and the
     // overhead (obs/off wall-clock ratio) near 1.0 — the acceptance bar
     // for the instrumentation being a pure observer.
-    std::unique_ptr<obs::Registry> registry;
-    const DrainResult observed = best_of(threads, &registry);
+    const DrainResult& observed = pair.observed;
     const bool obs_match = observed.SameStream(reference);
     ok = ok && obs_match;
     const double overhead =
@@ -234,7 +247,7 @@ int main(int argc, char** argv) {
         observed.wall_ms > 0 ? reference.wall_ms / observed.wall_ms : 0.0,
         0, {}};
     record.extras.emplace_back("overhead", overhead);
-    AppendRefillExtras(*registry, record);
+    AppendRefillExtras(*pair.registry, record);
     records.push_back(std::move(record));
   }
   table.Print();

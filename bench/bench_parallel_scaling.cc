@@ -1,6 +1,6 @@
 // Parallel-scaling bench: wall-clock of the three parallelized
-// initialization hot paths (sharded token-index build, per-profile block
-// filtering, PPS meta-blocking edge weighting) at 1/2/4/8 threads on the
+// initialization hot paths (Token Blocking, Block Filtering inside the
+// full workflow, PPS initialization) at 1/2/4/8 threads on the
 // synthetic DBpedia-style dataset, reporting speedup over the 1-thread run. The
 // outputs themselves are thread-count invariant (asserted here as a
 // sanity check via ||B|| and the first emission); only the wall-clock may

@@ -1,20 +1,26 @@
 #include "blocking/block_collection.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace sper {
 
+BlockCollection::BlockShape BlockCollection::Shape(
+    std::span<const ProfileId> members) const {
+  const std::uint64_t n = members.size();
+  const std::uint64_t n1 =
+      er_type_ == ErType::kDirty
+          ? n
+          : static_cast<std::uint64_t>(
+                std::lower_bound(members.begin(), members.end(),
+                                 split_index_) -
+                members.begin());
+  return {n1, CardinalityOf(er_type_, n1, n - n1)};
+}
+
 std::uint64_t BlockCollection::ComputeCardinality(
     std::span<const ProfileId> members) const {
-  if (er_type_ == ErType::kDirty) {
-    const std::uint64_t n = members.size();
-    return n * (n - 1) / 2;
-  }
-  const auto first2 =
-      std::lower_bound(members.begin(), members.end(), split_index_);
-  const std::uint64_t n1 = static_cast<std::uint64_t>(first2 - members.begin());
-  const std::uint64_t n2 = members.size() - n1;
-  return n1 * n2;
+  return Shape(members).cardinality;
 }
 
 BlockId BlockCollection::Add(std::string_view key,
@@ -22,28 +28,45 @@ BlockId BlockCollection::Add(std::string_view key,
   SPER_DCHECK(std::is_sorted(members.begin(), members.end()));
   // One lower_bound per block at build time buys branch-free scans on
   // every later traversal.
-  const std::size_t local_split =
-      er_type_ == ErType::kDirty
-          ? members.size()
-          : static_cast<std::size_t>(
-                std::lower_bound(members.begin(), members.end(),
-                                 split_index_) -
-                members.begin());
-  const std::uint64_t n = members.size();
-  const std::uint64_t n1 = local_split;
-  const std::uint64_t n2 = n - n1;
-  const std::uint64_t card =
-      er_type_ == ErType::kDirty ? n * (n - 1) / 2 : n1 * n2;
-
+  const BlockShape shape = Shape(members);
   const std::uint64_t begin = members_.size();
   members_.insert(members_.end(), members.begin(), members.end());
   member_offsets_.push_back(members_.size());
-  split_offsets_.push_back(begin + local_split);
+  split_offsets_.push_back(begin + shape.source1);
   key_arena_.append(key);
   key_offsets_.push_back(key_arena_.size());
-  cardinalities_.push_back(card);
-  aggregate_cardinality_ += card;
+  cardinalities_.push_back(shape.cardinality);
+  aggregate_cardinality_ += shape.cardinality;
   return static_cast<BlockId>(cardinalities_.size() - 1);
+}
+
+BlockCollection BlockCollection::FromCsr(
+    ErType er_type, ProfileId split_index, std::vector<ProfileId> members,
+    std::vector<std::uint64_t> member_offsets, std::string key_arena,
+    std::vector<std::uint64_t> key_offsets) {
+  SPER_CHECK(!member_offsets.empty() &&
+             member_offsets.size() == key_offsets.size() &&
+             member_offsets.front() == 0 &&
+             member_offsets.back() == members.size() &&
+             key_offsets.front() == 0 &&
+             key_offsets.back() == key_arena.size());
+  BlockCollection out(er_type, split_index);
+  out.members_ = std::move(members);
+  out.member_offsets_ = std::move(member_offsets);
+  out.key_arena_ = std::move(key_arena);
+  out.key_offsets_ = std::move(key_offsets);
+  const std::size_t num_blocks = out.member_offsets_.size() - 1;
+  out.split_offsets_.resize(num_blocks);
+  out.cardinalities_.resize(num_blocks);
+  for (BlockId id = 0; id < num_blocks; ++id) {
+    const std::span<const ProfileId> block = out.members(id);
+    SPER_DCHECK(std::is_sorted(block.begin(), block.end()));
+    const BlockShape shape = out.Shape(block);
+    out.split_offsets_[id] = out.member_offsets_[id] + shape.source1;
+    out.cardinalities_[id] = shape.cardinality;
+    out.aggregate_cardinality_ += shape.cardinality;
+  }
+  return out;
 }
 
 void BlockCollection::Reserve(std::size_t num_blocks,

@@ -51,6 +51,18 @@ class BlockCollection {
   /// point. Returns the new block's id.
   BlockId Add(std::string_view key, std::span<const ProfileId> members);
 
+  /// Adopts a finished CSR build: block `id` has the members
+  /// members[member_offsets[id], member_offsets[id + 1]) (sorted ascending,
+  /// duplicate-free) and the key key_arena[key_offsets[id],
+  /// key_offsets[id + 1]). Equivalent to Add()ing every block in id order,
+  /// without copying the members — for builders that write the flat
+  /// arrays in place, several threads at once.
+  static BlockCollection FromCsr(ErType er_type, ProfileId split_index,
+                                 std::vector<ProfileId> members,
+                                 std::vector<std::uint64_t> member_offsets,
+                                 std::string key_arena,
+                                 std::vector<std::uint64_t> key_offsets);
+
   /// Convenience overload for literal member lists (tests, examples).
   BlockId Add(std::string_view key,
               std::initializer_list<ProfileId> members) {
@@ -155,7 +167,26 @@ class BlockCollection {
   /// geometry (without adding it).
   std::uint64_t ComputeCardinality(std::span<const ProfileId> members) const;
 
+  /// ||b|| of a block with `n1` source-1 and `n2` source-2 members; for
+  /// Dirty ER only their sum counts.
+  static std::uint64_t CardinalityOf(ErType er_type, std::uint64_t n1,
+                                     std::uint64_t n2) {
+    if (er_type == ErType::kDirty) {
+      const std::uint64_t n = n1 + n2;
+      return n * (n - 1) / 2;
+    }
+    return n1 * n2;
+  }
+
  private:
+  /// A sorted member list's source-1 member count (all of them for Dirty
+  /// ER) and its cardinality under this geometry.
+  struct BlockShape {
+    std::uint64_t source1;
+    std::uint64_t cardinality;
+  };
+  BlockShape Shape(std::span<const ProfileId> members) const;
+
   ErType er_type_;
   ProfileId split_index_;
 

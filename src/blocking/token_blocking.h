@@ -18,8 +18,9 @@ namespace sper {
 struct TokenBlockingOptions {
   /// How attribute values are split into tokens.
   TokenizerOptions tokenizer;
-  /// Threads for the sharded token-index build (0 or 1 = sequential). The
-  /// resulting collection is identical at every thread count.
+  /// Threads for the chunked tokenize / shard-merge build (0 or 1 = one
+  /// thread, same path). The resulting collection is identical at every
+  /// thread count.
   std::size_t num_threads = 1;
 };
 

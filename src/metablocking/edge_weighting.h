@@ -1,6 +1,7 @@
 #ifndef SPER_METABLOCKING_EDGE_WEIGHTING_H_
 #define SPER_METABLOCKING_EDGE_WEIGHTING_H_
 
+#include <cmath>
 #include <string_view>
 #include <vector>
 
@@ -87,6 +88,52 @@ class EdgeWeighter {
   std::vector<std::uint32_t> degrees_;
   double log_num_edges_ = 0.0;
 };
+
+// Inline: both run once per gathered neighbour or block in the
+// meta-blocking hot loops (the PPS node pass and refills, PBS, the
+// blocking graph).
+inline double EdgeWeighter::BlockContribution(BlockId b) const {
+  if (scheme_ == WeightingScheme::kArcs) {
+    const double card = static_cast<double>(blocks_.Cardinality(b));
+    return card > 0 ? 1.0 / card : 0.0;
+  }
+  return 1.0;
+}
+
+inline double EdgeWeighter::Finalize(ProfileId i, ProfileId j,
+                              double accumulated) const {
+  if (accumulated <= 0.0) return 0.0;
+  switch (scheme_) {
+    case WeightingScheme::kArcs:
+    case WeightingScheme::kCbs:
+      return accumulated;
+    case WeightingScheme::kJs: {
+      const double bi = static_cast<double>(index_.NumBlocksOf(i));
+      const double bj = static_cast<double>(index_.NumBlocksOf(j));
+      const double denom = bi + bj - accumulated;
+      return denom > 0 ? accumulated / denom : 0.0;
+    }
+    case WeightingScheme::kEcbs: {
+      const double bi = static_cast<double>(index_.NumBlocksOf(i));
+      const double bj = static_cast<double>(index_.NumBlocksOf(j));
+      if (bi == 0 || bj == 0) return 0.0;
+      return accumulated * (log_num_blocks_ - std::log10(bi)) *
+             (log_num_blocks_ - std::log10(bj));
+    }
+    case WeightingScheme::kEjs: {
+      const double bi = static_cast<double>(index_.NumBlocksOf(i));
+      const double bj = static_cast<double>(index_.NumBlocksOf(j));
+      const double denom = bi + bj - accumulated;
+      const double js = denom > 0 ? accumulated / denom : 0.0;
+      const double di = static_cast<double>(degrees_[i]);
+      const double dj = static_cast<double>(degrees_[j]);
+      if (di == 0 || dj == 0) return 0.0;
+      return js * (log_num_edges_ - std::log10(di)) *
+             (log_num_edges_ - std::log10(dj));
+    }
+  }
+  return 0.0;
+}
 
 }  // namespace sper
 

@@ -1,6 +1,8 @@
 #ifndef SPER_PARALLEL_PARALLEL_FOR_H_
 #define SPER_PARALLEL_PARALLEL_FOR_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -14,7 +16,8 @@
 /// Call sites that accumulate per chunk and merge in chunk order therefore
 /// produce bit-identical results at every thread count — the invariant the
 /// whole library's determinism contract rests on (see
-/// tests/determinism_test.cc, ThreadCountInvariance).
+/// tests/determinism_test.cc, ThreadCountInvariance). ParallelForDynamic
+/// trades that for load balance where every item owns its result slot.
 
 namespace sper {
 
@@ -78,6 +81,32 @@ void ParallelFor(std::size_t n, std::size_t num_threads, Fn&& fn) {
                     [&fn](std::size_t /*chunk*/, IndexRange range) {
                       for (std::size_t i = range.begin; i < range.end; ++i) {
                         fn(i);
+                      }
+                    });
+}
+
+/// Runs `fn(worker, range)` over [0, n) cut into ranges of at most `grain`
+/// items, which up to `num_threads` workers claim in index order from one
+/// shared cursor: for loops whose per-item cost is too uneven for static
+/// chunks. Which worker runs a range depends on timing, so `fn` may write
+/// only per-item slots and its own `worker`-indexed state (worker <
+/// max(num_threads, 1)); the result is then independent of the schedule.
+template <typename Fn>
+void ParallelForDynamic(std::size_t n, std::size_t num_threads,
+                        std::size_t grain, Fn&& fn) {
+  if (grain == 0) grain = 1;
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t num_ranges = (n + grain - 1) / grain;
+  const std::size_t workers = std::min(std::max<std::size_t>(num_threads, 1),
+                                       num_ranges);
+  ParallelForChunks(workers, workers,
+                    [&](std::size_t worker, IndexRange /*one worker*/) {
+                      for (;;) {
+                        const std::size_t begin =
+                            cursor.fetch_add(grain, std::memory_order_relaxed);
+                        if (begin >= n) return;
+                        fn(worker,
+                           IndexRange{begin, std::min(n, begin + grain)});
                       }
                     });
 }

@@ -16,11 +16,11 @@
 
 /// \file thread_pool.h
 /// A minimal fixed-size worker pool with a FIFO work queue — the execution
-/// substrate of the parallel initialization paths (token-index sharding,
-/// block filtering, edge weighting). Parallelism here is an implementation
-/// detail of a deterministic library: tasks must not make output depend on
-/// execution order; ParallelFor (parallel_for.h) provides the deterministic
-/// static chunking used by every call site.
+/// substrate of the parallel initialization paths (token blocking, block
+/// filtering, edge weighting, the PPS node pass). Parallelism here is an
+/// implementation detail of a deterministic library: tasks must not make
+/// output depend on execution order; parallel_for.h provides the static
+/// chunking and the per-slot dynamic schedule the call sites use.
 
 namespace sper {
 

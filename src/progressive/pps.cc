@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,10 @@ struct NodeInit {
   bool has_neighbors = false;
 };
 
+/// Profiles per range a node-pass worker claims: small enough to even out
+/// skewed neighborhoods, large enough to keep cursor traffic negligible.
+constexpr std::size_t kNodeGrain = 256;
+
 }  // namespace
 
 PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
@@ -32,51 +37,70 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   obs::ScopedPhase phase(options_.telemetry, "profile_scheduling");
   // Algorithm 5: one pass over every node's neighborhood computes the
   // duplication likelihood (mean incident-edge weight) and the node's
-  // top-weighted comparison. Nodes are independent, so the pass runs over
-  // static profile chunks with per-chunk accumulators; results land in a
-  // per-node slot and are reduced below in id order, making the outcome
-  // identical at every thread count.
+  // top-weighted comparison. Nodes are independent but their
+  // neighborhoods differ widely in size, so workers claim small id
+  // ranges from a shared cursor rather than one static chunk each. Every
+  // result lands in its node's own slot and is reduced below in id
+  // order, so the outcome is identical at every thread count and under
+  // every schedule.
   std::vector<NodeInit> nodes(store_.size());
-  ParallelForChunks(
-      store_.size(), options_.num_threads,
-      [&](std::size_t /*chunk*/, IndexRange range) {
-        // Dense dirty-array accumulator per chunk: peak memory is
-        // 8 B * |P| per thread, traded for hash-free O(1) accumulation
-        // on the hottest loop of the whole initialization. Size
-        // num_threads accordingly on huge stores.
-        std::vector<double> weights(store_.size(), 0.0);
-        std::vector<ProfileId> touched;
-        touched.reserve(store_.size());
-        const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
+  // One dense dirty-array accumulator per worker (8 B * |P| each):
+  // hash-free O(1) accumulation on the hottest loop of the whole
+  // initialization, allocated on the worker's first range.
+  struct Scratch {
+    std::vector<double> weights;
+    std::vector<ProfileId> touched;  // grows only; see `touch` below
+  };
+  std::vector<Scratch> scratch(std::max<std::size_t>(options_.num_threads, 1));
+  const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
+  ParallelForDynamic(
+      store_.size(), options_.num_threads, kNodeGrain,
+      [&](std::size_t worker, IndexRange range) {
+        std::vector<double>& weights = scratch[worker].weights;
+        std::vector<ProfileId>& touched = scratch[worker].touched;
+        if (weights.empty()) weights.assign(store_.size(), 0.0);
         for (std::size_t idx = range.begin; idx < range.end; ++idx) {
           const ProfileId i = static_cast<ProfileId>(idx);
+          // Adds `share` to every neighbor in `js`, listing each one the
+          // first time it is touched. The list is grown once per block,
+          // so the loop appends with a plain store and no capacity check:
+          // every neighbor is written, only a first touch advances the
+          // count.
+          std::size_t num_touched = 0;
+          const auto touch = [&](std::span<const ProfileId> js,
+                                 double share) {
+            if (touched.size() < num_touched + js.size()) {
+              touched.resize(2 * (num_touched + js.size()));
+            }
+            ProfileId* out = touched.data();
+            for (ProfileId j : js) {
+              out[num_touched] = j;
+              num_touched += weights[j] == 0.0 ? 1 : 0;
+              weights[j] += share;
+            }
+          };
           // Algorithm 5 line 10, partition-aware: Clean-Clean scans only
           // the opposite-source range of each block (no comparability
-          // branch); Dirty keeps only the j != i check.
-          if (clean_clean) {
-            for (BlockId b : index_.BlocksOf(i)) {
-              const double share = weighter_.BlockContribution(b);
-              for (ProfileId j : blocks_.OppositeSource(b, i)) {
-                if (weights[j] == 0.0) touched.push_back(j);
-                weights[j] += share;
-              }
-            }
-          } else {
-            for (BlockId b : index_.BlocksOf(i)) {
-              const double share = weighter_.BlockContribution(b);
-              for (ProfileId j : blocks_.members(b)) {
-                if (j == i) continue;
-                if (weights[j] == 0.0) touched.push_back(j);
-                weights[j] += share;
-              }
+          // branch); Dirty scans the members before and after i.
+          for (BlockId b : index_.BlocksOf(i)) {
+            const double share = weighter_.BlockContribution(b);
+            if (clean_clean) {
+              touch(blocks_.OppositeSource(b, i), share);
+            } else {
+              const std::span<const ProfileId> ps = blocks_.members(b);
+              const std::size_t at = static_cast<std::size_t>(
+                  std::lower_bound(ps.begin(), ps.end(), i) - ps.begin());
+              touch(ps.first(at), share);
+              touch(ps.subspan(at + 1), share);
             }
           }
-          if (touched.empty()) continue;
+          if (num_touched == 0) continue;
 
           double likelihood_sum = 0.0;
           Comparison top;
           bool has_top = false;
-          for (ProfileId j : touched) {
+          for (std::size_t t = 0; t < num_touched; ++t) {
+            const ProfileId j = touched[t];
             const double w = weighter_.Finalize(i, j, weights[j]);
             likelihood_sum += w;
             const Comparison candidate(i, j, w);
@@ -87,10 +111,9 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
             weights[j] = 0.0;
           }
           nodes[i].likelihood =
-              likelihood_sum / static_cast<double>(touched.size());
+              likelihood_sum / static_cast<double>(num_touched);
           nodes[i].top = top;
           nodes[i].has_neighbors = true;
-          touched.clear();
         }
       });
 

@@ -106,8 +106,8 @@ TEST(DeterminismTest, DifferentNeighborListSeedsChangeCoincidentalOrder) {
   EXPECT_TRUE(any_difference);
 }
 
-// The parallel initialization paths (sharded token index, block
-// filtering, edge weighting) promise bit-identical results at every
+// The parallel initialization paths (token blocking, block filtering,
+// edge weighting, the PPS node pass) promise bit-identical results at every
 // thread count. Drain the full emission sequence at 1 and 4 threads and
 // require exact equality — weights compared bit-for-bit, not
 // approximately.

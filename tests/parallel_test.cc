@@ -1,10 +1,12 @@
 // The parallel runtime (src/parallel/) carries the library's determinism
 // contract onto multiple threads: static chunking, per-chunk accumulation,
 // ordered merges. These tests pin pool lifecycle, exception propagation and
-// the chunking invariants every parallel call site relies on.
+// the chunking invariants every parallel call site relies on, and the
+// dynamic schedule's claim-every-range-once contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <numeric>
@@ -140,6 +142,46 @@ TEST(ParallelForChunksTest, ChunkIndicesMatchStaticChunks) {
       EXPECT_EQ(seen[c].end, expected[c].end);
     }
   }
+}
+
+TEST(ParallelForDynamicTest, ClaimsEveryIndexOnceWithinWorkerBounds) {
+  for (std::size_t n : {0u, 1u, 255u, 256u, 997u}) {
+    for (std::size_t threads : {0u, 1u, 3u, 8u}) {
+      for (std::size_t grain : {0u, 1u, 64u, 256u}) {
+        std::vector<int> visits(n, 0);
+        const std::size_t max_workers = std::max<std::size_t>(threads, 1);
+        std::vector<std::size_t> ranges_per_worker(max_workers, 0);
+        ParallelForDynamic(
+            n, threads, grain, [&](std::size_t worker, IndexRange range) {
+              ASSERT_LT(worker, max_workers);
+              ASSERT_GT(range.size(), 0u);
+              ASSERT_LE(range.size(), std::max<std::size_t>(grain, 1));
+              ++ranges_per_worker[worker];  // worker-owned slot
+              for (std::size_t i = range.begin; i < range.end; ++i) {
+                ++visits[i];  // per-item slot
+              }
+            });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(visits[i], 1) << "n " << n << " threads " << threads
+                                  << " grain " << grain << " index " << i;
+        }
+        const std::size_t g = std::max<std::size_t>(grain, 1);
+        EXPECT_EQ(std::accumulate(ranges_per_worker.begin(),
+                                  ranges_per_worker.end(), std::size_t{0}),
+                  (n + g - 1) / g);
+      }
+    }
+  }
+}
+
+TEST(ParallelForDynamicTest, PropagatesWorkerException) {
+  EXPECT_THROW(ParallelForDynamic(1000, 4, 16,
+                                  [](std::size_t, IndexRange range) {
+                                    if (range.begin <= 500 && 500 < range.end) {
+                                      throw std::runtime_error("bad range");
+                                    }
+                                  }),
+               std::runtime_error);
 }
 
 TEST(AccumulateOrderedTest, MergeOrderIsThreadCountInvariant) {
