@@ -26,10 +26,11 @@ int main(int argc, char** argv) {
     ProgressiveEvaluator evaluator(cora.value().truth, options);
     TextTable table({"wmax", "AUC*@1", "AUC*@5", "recall@10", "init (s)"});
     for (std::size_t wmax : {2u, 5u, 10u, 20u, 50u}) {
-      MethodConfig config;
+      ResolverOptions config;
+      config.method = MethodId::kGsPsn;
       config.gs_wmax = wmax;
-      RunResult run = evaluator.Run(
-          [&] { return MakeResolver(MethodId::kGsPsn, cora.value(), config); });
+      RunResult run =
+          evaluator.Run([&] { return MakeResolver(cora.value(), config); });
       table.AddRow({std::to_string(wmax), FormatDouble(run.auc_norm[0], 3),
                     FormatDouble(run.auc_norm[1], 3),
                     FormatDouble(run.final_recall, 3),
@@ -46,10 +47,10 @@ int main(int argc, char** argv) {
     ProgressiveEvaluator evaluator(cora.value().truth, options);
     TextTable table({"Kmax", "AUC*@1", "AUC*@5", "recall@10"});
     for (std::size_t kmax : {1u, 5u, 10u, 50u, 500u}) {
-      MethodConfig config;
+      ResolverOptions config;
       config.pps_kmax = kmax;
-      RunResult run = evaluator.Run(
-          [&] { return MakeResolver(MethodId::kPps, cora.value(), config); });
+      RunResult run =
+          evaluator.Run([&] { return MakeResolver(cora.value(), config); });
       table.AddRow({std::to_string(kmax), FormatDouble(run.auc_norm[0], 3),
                     FormatDouble(run.auc_norm[1], 3),
                     FormatDouble(run.final_recall, 3)});
@@ -66,13 +67,13 @@ int main(int argc, char** argv) {
     TextTable table({"lmin", "nodes", "total comparisons", "AUC*@1",
                      "AUC*@5", "recall@10", "init (s)"});
     for (std::size_t lmin : {2u, 3u, 4u, 6u}) {
-      MethodConfig config;
+      ResolverOptions config;
+      config.method = MethodId::kSaPsab;
       config.suffix.lmin = lmin;
       SuffixForest forest =
           SuffixForest::Build(restaurant.value().store, config.suffix);
-      RunResult run = evaluator.Run([&] {
-        return MakeResolver(MethodId::kSaPsab, restaurant.value(), config);
-      });
+      RunResult run = evaluator.Run(
+          [&] { return MakeResolver(restaurant.value(), config); });
       table.AddRow({std::to_string(lmin), FormatCount(forest.nodes().size()),
                     FormatCount(forest.TotalComparisons()),
                     FormatDouble(run.auc_norm[0], 3),

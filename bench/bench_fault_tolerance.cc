@@ -1,6 +1,6 @@
 // Fault-tolerance bench: what do slow refills do to slice latency, and
 // how much does a per-request deadline claw back? Three paths, all
-// draining the same resolver configuration through a session:
+// draining the same resolver configuration through Resolver::Serve:
 //
 //   baseline              no injected fault — the healthy reference;
 //   slow_refill           every fourth refill stalls --stall-ms (the
@@ -8,7 +8,7 @@
 //                         obs/fault_injection.h);
 //   slow_refill_deadline  same stalls, but every request carries
 //                         --deadline-ms: slices come back cut short
-//                         (deadline_exceeded) instead of waiting the
+//                         (kDeadlineExpired) instead of waiting the
 //                         straggler out, and each continues losslessly.
 //
 // All three paths must fold to the identical FNV-1a stream digest —
@@ -82,7 +82,6 @@ SessionRun RunSession(const ProfileStore& store,
                       std::uint64_t deadline_ms) {
   std::unique_ptr<Resolver> resolver =
       sper::bench::CreateResolverOrDie(store, options);
-  ResolverSession session = resolver->OpenSession();
   SessionRun run;
   const obs::Stopwatch start;
   std::uint64_t empty_streak = 0;
@@ -92,7 +91,7 @@ SessionRun RunSession(const ProfileStore& store,
     request.max_batch = batch;
     request.deadline_ms = deadline_ms;
     const obs::Stopwatch slice_start;
-    ResolveResult slice = session.Resolve(request);
+    ResolveResult slice = resolver->Serve(request);
     run.slice_ms.push_back(Millis(slice_start));
     if (!slice.status.ok()) {
       std::fprintf(stderr, "resolve failed: %s\n",
@@ -100,7 +99,8 @@ SessionRun RunSession(const ProfileStore& store,
       std::exit(1);
     }
     for (const Comparison& c : slice.comparisons) run.drain.Fold(c);
-    run.deadline_cuts += slice.deadline_exceeded() ? 1 : 0;
+    run.deadline_cuts +=
+        slice.outcome == ResolveOutcome::kDeadlineExpired ? 1 : 0;
     if (slice.stream_exhausted || slice.budget_exhausted) break;
     // A deadline can expire before a slice draws anything; bail out if
     // that stops being progress (e.g. a stall longer than the deadline
@@ -108,7 +108,7 @@ SessionRun RunSession(const ProfileStore& store,
     empty_streak = slice.comparisons.empty() ? empty_streak + 1 : 0;
     if (empty_streak >= 64) break;
   }
-  run.drain.requests = session.requests_served();
+  run.drain.requests = run.slice_ms.size();
   run.drain.wall_ms = Millis(start);
   return run;
 }

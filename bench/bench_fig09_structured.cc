@@ -28,12 +28,13 @@ int main(int argc, char** argv) {
     options.ecstar_max = ecmax;
     options.auc_at = {1.0};
     ProgressiveEvaluator evaluator(dataset.value().truth, options);
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
 
     std::vector<RunResult> runs;
     for (MethodId id : StructuredMethodSet()) {
+      config.method = id;
       runs.push_back(evaluator.Run(
-          [&] { return MakeResolver(id, dataset.value(), config); }));
+          [&] { return MakeResolver(dataset.value(), config); }));
     }
     PrintRecallTable(name + " (|P|=" + std::to_string(dataset.value().store.size()) +
                          ", |D_P|=" + std::to_string(dataset.value().truth.num_matches()) + ")",

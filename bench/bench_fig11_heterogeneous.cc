@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 11: recall progressiveness over the large, "
               "heterogeneous datasets\n(dbpedia/freebase at the reduced "
-              "scale documented in DESIGN.md; --scale rescales)\n");
+              "scale of bench_table2_datasets; --scale rescales)\n");
 
   const std::vector<double> grid = {0.5, 1, 2, 3, 5, 7, 10, 15, 20, ecmax};
   for (const std::string& name : HeterogeneousDatasetNames()) {
@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
     options.ecstar_max = ecmax;
     options.auc_at = {1.0};
     ProgressiveEvaluator evaluator(dataset.value().truth, options);
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
 
     std::vector<RunResult> runs;
     for (MethodId id : HeterogeneousMethodSet()) {
       if (id == MethodId::kSaPsab && name != "movies") continue;
+      config.method = id;
       runs.push_back(evaluator.Run(
-          [&] { return MakeResolver(id, dataset.value(), config); }));
+          [&] { return MakeResolver(dataset.value(), config); }));
     }
     PrintRecallTable(
         name + " (|P1|=" + std::to_string(dataset.value().store.source1_size()) +

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   const BenchArgs args = ParseArgs(argc, argv);
 
   std::printf("Table 2: dataset characteristics (synthetic counterparts)\n"
-              "paper values in parentheses; dbpedia/freebase at the reduced "
-              "scale of DESIGN.md\n\n");
+              "paper values in parentheses; dbpedia/freebase at a reduced "
+              "scale (~1/18 and ~1/50 of the paper's)\n\n");
 
   TextTable table({"dataset", "ER type", "|P|", "#attr", "|D_P|", "|p̄|"});
   for (const std::string& name : StructuredDatasetNames()) {

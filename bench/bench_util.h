@@ -26,7 +26,8 @@ namespace bench {
 
 /// Command-line knobs shared by the bench binaries.
 struct BenchArgs {
-  /// Multiplies dataset sizes (1.0 = the scale documented in DESIGN.md).
+  /// Multiplies dataset sizes (1.0 = the sizes bench_table2_datasets
+  /// prints).
   double scale = 1.0;
   /// Overrides the run's ec* cap when > 0.
   double ecmax = 0.0;
@@ -114,7 +115,7 @@ struct JsonRecord {
   /// Speedup relative to the record's documented baseline (1.0 for the
   /// baseline rows themselves).
   double speedup = 1.0;
-  /// ResolverSession request size of a session-batched drain
+  /// Resolver::Serve request size of a session-batched drain
   /// (bench_resolver_session); 0 for un-batched / non-session paths.
   std::size_t batch_size = 0;
   /// Additional numeric fields serialized verbatim into the record
@@ -195,9 +196,9 @@ inline bool WriteJsonRecords(const std::string& file,
 /// The paper's GS-PSN window ranges: 20 for structured datasets, 200 for
 /// the large heterogeneous ones — except that the two web-scale datasets
 /// get smaller ranges, mirroring the paper's own memory cap on freebase
-/// (Sec. 7.2; see DESIGN.md §4).
-inline MethodConfig ConfigFor(const std::string& dataset) {
-  MethodConfig config;
+/// (Sec. 7.2).
+inline ResolverOptions ConfigFor(const std::string& dataset) {
+  ResolverOptions config;
   if (dataset == "movies") {
     config.gs_wmax = 200;
   } else if (dataset == "dbpedia") {

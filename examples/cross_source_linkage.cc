@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
 
   // Each budget increment is one request against the same long-lived
   // resolver: the stream continues where the previous request stopped.
-  ResolverSession session = resolver->OpenSession();
   TextTable table({"ec* (comparisons / matches)", "recall"});
   const double num_matches = static_cast<double>(truth.num_matches());
   // A method may emit the same pair more than once (emitter.h); recall
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
     const std::uint64_t ec_target =
         static_cast<std::uint64_t>(target * num_matches);
     if (ec_target > emitted) {
-      ResolveResult batch = session.Resolve({ec_target - emitted, 0});
+      ResolveResult batch = resolver->Serve({ec_target - emitted, 0});
       for (const Comparison& c : batch.comparisons) {
         if (truth.AreMatching(c.i, c.j)) matched.insert(PairKey(c.i, c.j));
       }

@@ -64,13 +64,16 @@ int main(int argc, char** argv) {
   // the ranked stream; the consumer draws batches until its budget is
   // spent. Here the nightly dedup job draws 50 comparisons per request.
   std::unique_ptr<Resolver> resolver = MakeLsPsnResolver(store, budget);
-  ResolverSession session = resolver->OpenSession();
   JaccardMatch match(store);
 
   std::size_t found = 0;
+  std::uint64_t emitted = 0;
+  std::uint64_t requests = 0;
   std::printf("first few detected duplicates (jaccard >= 0.5):\n");
   for (;;) {
-    ResolveResult batch = session.Resolve({/*budget=*/50, /*max_batch=*/0});
+    ResolveResult batch = resolver->Serve({/*budget=*/50, /*max_batch=*/0});
+    ++requests;
+    emitted += batch.comparisons.size();
     for (const Comparison& c : batch.comparisons) {
       const double similarity = match.Similarity(c.i, c.j);
       if (similarity < 0.5) continue;  // the match function's decision
@@ -85,7 +88,6 @@ int main(int argc, char** argv) {
     }
     if (batch.budget_exhausted || batch.stream_exhausted) break;
   }
-  const std::uint64_t emitted = session.delivered();
 
   // How well did the budgeted pass do against the ground truth? Guard the
   // degenerate case: budget 0 would be the *unlimited* sentinel.
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
       "\nafter %llu comparisons (%llu requests): %zu pairs flagged by the "
       "match function\n",
       static_cast<unsigned long long>(emitted),
-      static_cast<unsigned long long>(session.requests_served()),
+      static_cast<unsigned long long>(requests),
       found);
   std::printf("ground-truth recall within the budget: %.1f%%\n",
               100.0 * static_cast<double>(true_found) /

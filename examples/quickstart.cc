@@ -59,8 +59,7 @@ int main() {
   // Pay-as-you-go: one request buys the 6 best comparisons, in decreasing
   // estimated matching likelihood. The resolver keeps the stream's state —
   // a later request would continue exactly where this one stopped.
-  ResolverSession session = resolver->OpenSession();
-  ResolveResult batch = session.Resolve({/*budget=*/6, /*max_batch=*/0});
+  ResolveResult batch = resolver->Serve({/*budget=*/6, /*max_batch=*/0});
   std::printf("\n%-4s %-12s %s\n", "#", "pair", "estimated likelihood");
   int rank = 0;
   for (const Comparison& c : batch.comparisons) {

@@ -12,9 +12,11 @@
 /// Synthetic counterparts of the paper's 7 benchmark datasets (Table 2).
 /// Each generator reproduces the statistics the paper's method ranking is
 /// sensitive to — profile/match counts, attribute variety, cluster sizes,
-/// token overlap, value length and noise type; see DESIGN.md §4 for the
-/// per-dataset substitution rationale. The two web-scale datasets are
-/// generated at a documented reduced scale.
+/// token overlap, value length and noise type; each gen_<dataset>.cc
+/// states its substitution rationale, and bench_table2_datasets prints
+/// the generated statistics next to the paper's. The two web-scale
+/// datasets are generated at a reduced scale (gen_dbpedia.cc,
+/// gen_freebase.cc).
 
 namespace sper {
 

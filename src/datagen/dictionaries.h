@@ -13,7 +13,8 @@
 ///
 /// Pool sizes are a modeling lever: the number of profiles sharing a value
 /// token is |profiles| * usage / |pool|, which directly controls block
-/// sizes and Neighbor List run lengths (see DESIGN.md §4).
+/// sizes and Neighbor List run lengths (see the per-dataset generators,
+/// gen_<dataset>.cc).
 
 namespace sper {
 

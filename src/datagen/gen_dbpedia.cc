@@ -14,9 +14,9 @@
 /// pairs; the two DBpedia snapshots share only ~25% of their name-value
 /// pairs).
 ///
-/// Generated at the documented reduced scale (x ~1/18: 60k x 110k
-/// profiles, 45k matches — see DESIGN.md §4): this environment is a
-/// 2-core/21 GB machine, not the paper's 80 GB Xeon server. Every
+/// Generated at a reduced scale (x ~1/18: 60k x 110k profiles, 45k
+/// matches; bench_table2_datasets prints the generated counts) that fits
+/// a commodity machine, not the paper's 80 GB Xeon server. Every
 /// *structural* property is preserved: thousands of Zipf-distributed
 /// infobox attribute names, ~25% name-value-pair overlap between the two
 /// snapshots of an entity, token-level value noise, and discriminative

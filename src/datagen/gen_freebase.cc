@@ -14,8 +14,9 @@
 /// pairs; Freebase RDF vs DBpedia, extracted from the Billion Triples
 /// Challenge).
 ///
-/// Generated at the documented reduced scale (x ~1/50: 84k x 74k, 30k
-/// matches — see DESIGN.md §4). The defining property is preserved: values
+/// Generated at a reduced scale (x ~1/50: 84k x 74k, 30k matches;
+/// bench_table2_datasets prints the generated counts). The defining
+/// property is preserved: values
 /// are URI-shaped. Freebase entities link to opaque machine ids
 /// (ns/m.0xxxx) and carry heavy URI boilerplate, so the *alphabetical
 /// ordering of tokens is meaningless* — sorted-neighborhood methods drown

@@ -59,47 +59,30 @@ std::optional<MethodId> ParseMethodId(std::string_view name) {
 }
 
 ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
-                                     EngineConfig options)
+                                     ResolverOptions options)
     : options_(std::move(options)) {
   const obs::Stopwatch init_watch;
-  if (options_.num_threads == 0) options_.num_threads = 1;
   const obs::TelemetryScope& scope = options_.telemetry;
 
-  // The blocking workflow of the equality-based methods, timed per step.
-  // Its phases land in stats_.phases before "method_build" (the emitter
-  // construction that follows it); finer method sub-phases
-  // ("block_scheduling", "edge_weighting", "profile_scheduling") are
-  // recorded registry-side by the callees themselves.
-  const auto run_workflow = [&](const ProfileStore& s) {
+  // The blocking workflow of the equality-based methods; it times its own
+  // steps, and finer method sub-phases ("block_scheduling",
+  // "edge_weighting", "profile_scheduling") are timed by the callees.
+  std::optional<BlockCollection> workflow_blocks;
+  if (MethodHasBatchRefills(options_.method)) {
     TokenWorkflowOptions workflow = options_.workflow;
     workflow.num_threads = options_.num_threads;
     workflow.telemetry = scope;
-    TokenWorkflowTiming timing;
-    BlockCollection blocks = BuildTokenWorkflowBlocks(s, workflow, &timing);
-    stats_.phases.push_back({"token_blocking", timing.token_blocking_seconds});
-    if (workflow.enable_purging) {
-      stats_.phases.push_back({"block_purging", timing.purging_seconds});
-    }
-    if (workflow.enable_filtering) {
-      stats_.phases.push_back({"block_filtering", timing.filtering_seconds});
-    }
-    stats_.num_blocks = blocks.size();
-    stats_.aggregate_cardinality = blocks.AggregateCardinality();
-    return blocks;
-  };
-
-  std::optional<BlockCollection> workflow_blocks;
-  if (MethodHasBatchRefills(options_.method)) {
-    workflow_blocks.emplace(run_workflow(store));
+    workflow_blocks.emplace(BuildTokenWorkflowBlocks(store, workflow));
+    stats_.num_blocks = workflow_blocks->size();
+    stats_.aggregate_cardinality = workflow_blocks->AggregateCardinality();
   }
 
-  double method_seconds = 0.0;
   {
-    obs::ScopedPhase method_phase(scope, "method_build", &method_seconds);
+    obs::ScopedPhase method_phase(scope, "method_build");
     switch (options_.method) {
     case MethodId::kPsn:
       SPER_CHECK(options_.schema_key != nullptr &&
-                 "kPsn requires EngineConfig::schema_key");
+                 "kPsn requires ResolverOptions::schema_key");
       inner_ = std::make_unique<PsnEmitter>(store, options_.schema_key,
                                             options_.list);
       break;
@@ -139,7 +122,6 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
     }
     }
   }
-  stats_.phases.push_back({"method_build", method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
 
   // The batch methods' refills run on num_threads workers, in windows of

@@ -7,13 +7,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/comparison.h"
 #include "core/profile_store.h"
 #include "core/status.h"
 #include "core/types.h"
-#include "engine/method.h"
+#include "engine/options.h"
 #include "obs/telemetry.h"
 #include "parallel/cancel.h"
 #include "parallel/ordered_map.h"
@@ -49,26 +48,17 @@
 
 namespace sper {
 
-/// One timed step of an engine's initialization. Phase names are the
-/// telemetry phase names ("token_blocking", "block_purging",
-/// "block_filtering", "method_build").
-struct InitPhase {
-  std::string name;
-  double seconds = 0.0;
-};
-
 /// Aggregate facts about an engine's initialization phase (diagnostics /
 /// benches).
 struct InitStats {
   /// Wall-clock seconds spent in the engine's constructor; the per-phase
-  /// breakdown is in `phases`.
+  /// breakdown is in the telemetry registry's "phase.<name>_seconds"
+  /// gauges.
   double init_seconds = 0.0;
   /// |B| of the workflow collection (0 for the sort-based methods).
   std::size_t num_blocks = 0;
   /// ||B|| of the workflow collection (0 for the sort-based methods).
   std::uint64_t aggregate_cardinality = 0;
-  /// Per-phase breakdown of init_seconds, in execution order.
-  std::vector<InitPhase> phases;
 };
 
 /// Outcome of one ProgressiveEngine::Pull.
@@ -79,46 +69,6 @@ enum class PullStatus {
   kCancelled,  // the token fired first; the stream is fully intact and the
                // next Pull (any token) continues bit-identically
   kError,      // the engine is poisoned — see status(); terminal, sticky
-};
-
-/// Everything one engine instance needs to run one progressive ER task.
-///
-/// This is the *internal* per-engine configuration: public callers go
-/// through `ResolverOptions` + `Resolver::Create` (engine/resolver.h),
-/// which validates the configuration and lowers it to this struct.
-struct EngineConfig {
-  /// Progressive method to run.
-  MethodId method = MethodId::kPps;
-
-  /// Threads used by the initialization phase (token-index build, block
-  /// filtering, edge weighting) and, for the batch methods, the refill
-  /// workers of emission. 0 means "one thread".
-  std::size_t num_threads = 1;
-
-  /// Maximum number of comparisons Next() will emit; 0 = unlimited. This
-  /// is the paper's pay-as-you-go budget expressed at the API boundary:
-  /// once exhausted, Next() returns nullopt even if the method could
-  /// continue.
-  std::uint64_t budget = 0;
-
-  /// Blocking workflow for the equality-based methods (PBS, PPS).
-  TokenWorkflowOptions workflow;
-  /// Blocking-graph edge-weighting scheme for PBS/PPS.
-  WeightingScheme scheme = WeightingScheme::kArcs;
-  /// PPS comparisons retained per profile.
-  std::size_t pps_kmax = 100;
-  /// GS-PSN window range.
-  std::size_t gs_wmax = 20;
-  /// SA-PSAB suffix forest parameters.
-  SuffixForestOptions suffix;
-  /// Neighbor List construction for the sort-based methods.
-  NeighborListOptions list;
-  /// Schema-based blocking key; required by kPsn, ignored otherwise.
-  SchemaKeyFn schema_key;
-  /// Telemetry sink (phase timers, refill-map health metrics, spans).
-  /// Default-constructed = disabled; the emitted stream is bit-identical
-  /// either way.
-  obs::TelemetryScope telemetry;
 };
 
 /// Facade emitter: owns the inner method emitter and its inputs. Being a
@@ -137,8 +87,8 @@ class ProgressiveEngine : public ProgressiveEmitter {
   /// Initialization phase: builds blocking structures (in parallel when
   /// options.num_threads > 1) and the method emitter; for the batch
   /// methods it also starts the options.num_threads refill workers. The
-  /// store must outlive the engine. kPsn requires options.schema_key.
-  ProgressiveEngine(const ProfileStore& store, EngineConfig options);
+  /// store must outlive the engine. `options` must pass Validate().
+  ProgressiveEngine(const ProfileStore& store, ResolverOptions options);
 
   /// Emission phase: the next best comparison, honoring the budget.
   std::optional<Comparison> Next() override {
@@ -176,6 +126,9 @@ class ProgressiveEngine : public ProgressiveEmitter {
   /// Initialization diagnostics.
   const InitStats& init_stats() const { return stats_; }
 
+  /// The configuration the engine was built with.
+  const ResolverOptions& options() const { return options_; }
+
   /// Why the engine is poisoned; ok() while healthy. Sticky: once a
   /// producer failure is contained here, every later Pull returns kError
   /// with this same status.
@@ -198,7 +151,7 @@ class ProgressiveEngine : public ProgressiveEmitter {
 
   using RefillMap = OrderedMap<ComparisonList, RefillScratch>;
 
-  EngineConfig options_;
+  ResolverOptions options_;
   InitStats stats_;
   /// Sticky poison; set (once) by PullUnbudgeted on producer failure.
   Status status_ = Status::Ok();

@@ -10,27 +10,6 @@
 
 namespace sper {
 
-namespace {
-
-/// ResolverOptions -> the engine's internal configuration.
-EngineConfig ToEngineConfig(const ResolverOptions& options) {
-  EngineConfig engine;
-  engine.method = options.method;
-  engine.num_threads = options.num_threads;
-  engine.budget = options.budget;
-  engine.workflow = options.workflow;
-  engine.scheme = options.scheme;
-  engine.pps_kmax = options.pps_kmax;
-  engine.gs_wmax = options.gs_wmax;
-  engine.suffix = options.suffix;
-  engine.list = options.list;
-  engine.schema_key = options.schema_key;
-  engine.telemetry = options.telemetry;
-  return engine;
-}
-
-}  // namespace
-
 std::string_view ToString(Priority priority) {
   switch (priority) {
     case Priority::kInteractive:
@@ -115,10 +94,9 @@ Status ValidateResolveRequest(const ResolveRequest& request) {
   return Status::Ok();
 }
 
-Resolver::Resolver(ResolverOptions options,
-                   std::unique_ptr<ProgressiveEngine> engine)
-    : options_(std::move(options)), engine_(std::move(engine)) {
-  const obs::TelemetryScope& scope = options_.telemetry;
+Resolver::Resolver(std::unique_ptr<ProgressiveEngine> engine)
+    : engine_(std::move(engine)) {
+  const obs::TelemetryScope& scope = options().telemetry;
   if (scope.enabled()) {
     queue_wait_ns_ = scope.histogram("session.queue_wait_ns");
     service_ns_ = scope.histogram("session.service_ns");
@@ -134,10 +112,8 @@ Resolver::Resolver(ResolverOptions options,
 Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
                                                    ResolverOptions options) {
   SPER_RETURN_IF_ERROR(options.Validate());
-  auto engine =
-      std::make_unique<ProgressiveEngine>(store, ToEngineConfig(options));
-  return std::unique_ptr<Resolver>(
-      new Resolver(std::move(options), std::move(engine)));
+  return std::unique_ptr<Resolver>(new Resolver(
+      std::make_unique<ProgressiveEngine>(store, std::move(options))));
 }
 
 ResolveResult Resolver::Serve(const ResolveRequest& request) {
@@ -272,7 +248,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
     requests_->Add();
     service_ns_->Record(obs::Stopwatch::Nanos(admitted, done));
     slice_comparisons_->Record(result.comparisons.size());
-    options_.telemetry.RecordSpan(
+    options().telemetry.RecordSpan(
         "session.resolve", admitted, done,
         "{\"ticket\": " + std::to_string(result.ticket) +
             ", \"comparisons\": " +
@@ -298,9 +274,9 @@ void Resolver::Drain() {
   if (!engine_drained_) {
     engine_->Drain();  // stops + joins the refill workers
     engine_drained_ = true;
-    options_.telemetry.RecordSpan("session.drain", watch.start(),
+    options().telemetry.RecordSpan("session.drain", watch.start(),
                                   obs::Stopwatch::Now());
-    if (obs::Counter* drains = options_.telemetry.counter("session.drains");
+    if (obs::Counter* drains = options().telemetry.counter("session.drains");
         drains != nullptr) {
       drains->Add();
     }

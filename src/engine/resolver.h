@@ -9,37 +9,32 @@
 #include <vector>
 
 #include "core/mutex.h"
-#include "core/thread_annotations.h"
-#include "blocking/suffix_forest.h"
 #include "core/profile_store.h"
 #include "core/status.h"
-#include "core/types.h"
-#include "engine/method.h"
+#include "core/thread_annotations.h"
+#include "engine/options.h"
 #include "engine/progressive_engine.h"
-#include "metablocking/edge_weighting.h"
 #include "obs/telemetry.h"
 #include "parallel/cancel.h"
-#include "progressive/workflow.h"
-#include "sorted/neighbor_list.h"
 
 /// \file resolver.h
-/// The unified serving API: one `Resolver` in front of the engine, and
-/// `ResolverSession`s that serve pay-as-you-go resolve requests from its
-/// long-lived ranked stream.
+/// The unified serving API: one `Resolver` in front of the engine that
+/// serves pay-as-you-go resolve requests from its long-lived ranked
+/// stream.
 ///
 /// The paper's consumer is a client that repeatedly asks a long-lived
 /// resolver for "the next best comparisons under my budget". This layer
 /// makes that the public surface:
 ///
-///   - `ResolverOptions` is the one configuration struct (method, threads,
-///     global budget, method knobs) — validated with a clear error
-///     `Status` instead of silently falling back;
+///   - `ResolverOptions` (engine/options.h) is the one configuration
+///     struct (method, threads, global budget, method knobs) — validated
+///     with a clear error `Status` instead of silently falling back;
 ///   - `Resolver::Create(store, options)` builds the `ProgressiveEngine`,
 ///     which runs the batch methods' refills on `num_threads` workers;
-///   - `ResolverSession::Resolve(ResolveRequest)` draws a budgeted slice
-///     off the shared stream under ticketed FIFO admission: concurrent
-///     requests are admitted strictly in ticket order, and concatenating
-///     the per-request slices in ticket order is bit-identical to one
+///   - `Resolver::Serve(ResolveRequest)` draws a budgeted slice off the
+///     shared stream under ticketed FIFO admission: concurrent requests
+///     are admitted strictly in ticket order, and concatenating the
+///     per-request slices in ticket order is bit-identical to one
 ///     un-batched drain of the same resolver.
 ///
 /// Backpressure: the refill workers keep producing windows of refills
@@ -49,55 +44,6 @@
 /// finished (see parallel/ordered_map.h).
 
 namespace sper {
-
-/// Everything a Resolver needs to serve one progressive ER task: the one
-/// public configuration struct, validated by Validate() and lowered to
-/// the internal per-engine `EngineConfig` by Resolver::Create.
-struct ResolverOptions {
-  /// Progressive method to run.
-  MethodId method = MethodId::kPps;
-
-  /// Threads for the initialization phase (token-index build, block
-  /// filtering, edge weighting) and the refill workers of the batch
-  /// methods (PBS, PPS). The emitted stream is bit-identical at every
-  /// setting. Must be in [1, kMaxThreads] — 0 is rejected by Validate()
-  /// rather than silently meaning "one thread".
-  std::size_t num_threads = 1;
-
-  /// Global pay-as-you-go budget: maximum comparisons the resolver will
-  /// emit across all requests and drains; 0 = unlimited.
-  std::uint64_t budget = 0;
-
-  /// Blocking workflow for the equality-based methods (PBS, PPS).
-  TokenWorkflowOptions workflow;
-  /// Blocking-graph edge-weighting scheme for PBS/PPS.
-  WeightingScheme scheme = WeightingScheme::kArcs;
-  /// PPS comparisons retained per profile (PPS only; must be > 0).
-  std::size_t pps_kmax = 100;
-  /// GS-PSN window range.
-  std::size_t gs_wmax = 20;
-  /// SA-PSAB suffix forest parameters.
-  SuffixForestOptions suffix;
-  /// Neighbor List construction for the sort-based methods.
-  NeighborListOptions list;
-  /// Schema-based blocking key; required by kPsn, ignored otherwise.
-  SchemaKeyFn schema_key;
-
-  /// Telemetry sink: hand a scope into an obs::Registry to record
-  /// per-phase init timings, refill-map health and per-request session
-  /// metrics ("session.queue_wait_ns", "session.service_ns",
-  /// "session.slice_comparisons" histograms plus "session.resolve"
-  /// spans). Default-constructed = disabled; the emitted stream is
-  /// bit-identical either way.
-  obs::TelemetryScope telemetry;
-
-  /// Validation bounds (shared with the CLI's strict flag parsing).
-  static constexpr std::size_t kMaxThreads = 256;
-
-  /// OK iff the configuration is servable; otherwise an InvalidArgument
-  /// Status naming the offending field. Called by Resolver::Create.
-  Status Validate() const;
-};
 
 /// Identifies the client behind a request for per-client QoS (token-bucket
 /// rate limiting, shed-backoff state) in the serving layer
@@ -123,7 +69,7 @@ std::string_view ToString(Priority priority);
 /// nullopt for unknown names.
 std::optional<Priority> ParsePriority(std::string_view name);
 
-/// One pay-as-you-go request against a ResolverSession.
+/// One pay-as-you-go request against a Resolver.
 struct ResolveRequest {
   /// Comparisons this request pays for: the returned slice holds at most
   /// this many. Unlike ResolverOptions::budget, 0 here buys nothing — a
@@ -140,14 +86,14 @@ struct ResolveRequest {
   /// Wall-clock deadline in milliseconds, measured from *arrival* (queue
   /// wait counts — an interactive client cares about total latency, not
   /// service time); 0 = none. An expired request returns whatever partial
-  /// slice it drew with `deadline_exceeded()` set; nothing is torn down and
+  /// slice it drew with outcome kDeadlineExpired; nothing is torn down and
   /// the next ticket continues the stream bit-identically. FIFO admission
   /// is never skipped: an expired queued request still takes its turn,
   /// it just draws nothing once admitted.
   std::uint64_t deadline_ms = 0;
 
   /// Optional external cancellation: when this token fires mid-slice the
-  /// request returns its partial slice with `cancelled()` set (same
+  /// request returns its partial slice with outcome kCancelled (same
   /// lossless-continuation guarantee as a deadline). Combined with
   /// deadline_ms, whichever fires first wins. Default = never fires.
   CancelToken cancel;
@@ -181,9 +127,8 @@ struct ResolveRequest {
 Status ValidateResolveRequest(const ResolveRequest& request);
 
 /// What ultimately happened to a request — the one authoritative outcome
-/// of a ResolveResult. Exactly one value applies per result; the legacy
-/// `deadline_exceeded()` / `cancelled()` readers and the `status` field
-/// derive from it (see ResolveResult).
+/// of a ResolveResult. Exactly one value applies per result; the
+/// `status` field and `admitted()` derive from it (see ResolveResult).
 enum class ResolveOutcome : std::uint8_t {
   /// Admitted and served normally. The slice may still be short or empty
   /// when the stream or a budget ran out — see the `stream_exhausted` /
@@ -202,8 +147,8 @@ enum class ResolveOutcome : std::uint8_t {
   kShed,
   /// Never served: the QoS controller evicted the queued request because
   /// its deadline would expire before its estimated service start. Same
-  /// client-visible meaning as kDeadlineExpired (deadline_exceeded()
-  /// reads true), but no stream capacity was spent on it.
+  /// client-visible meaning as kDeadlineExpired (the deadline is equally
+  /// missed), but no stream capacity was spent on it.
   kEvicted,
   /// Never admitted: the resolver is draining, or its engine was already
   /// poisoned. status is FailedPrecondition.
@@ -257,16 +202,6 @@ struct ResolveResult {
   /// other outcome.
   std::uint64_t retry_after_ms = 0;
 
-  /// Thin readers over `outcome`, kept for the pre-QoS call sites.
-  /// deadline_exceeded() covers eviction too: an evicted request's
-  /// deadline is equally missed, the controller just found out before
-  /// spending stream capacity on it.
-  bool deadline_exceeded() const {
-    return outcome == ResolveOutcome::kDeadlineExpired ||
-           outcome == ResolveOutcome::kEvicted;
-  }
-  bool cancelled() const { return outcome == ResolveOutcome::kCancelled; }
-
   /// True when the request was admitted to the stream (it holds a live
   /// ticket and its slice — possibly empty — is part of the global
   /// emission order). Shed/evicted/rejected requests never consume the
@@ -279,19 +214,15 @@ struct ResolveResult {
   }
 };
 
-class ResolverSession;
-
 /// The unified serving facade: owns the engine built by Create() and the
-/// FIFO admission state its sessions serve under. Being a
+/// FIFO admission state Serve() admits requests under. Being a
 /// ProgressiveEmitter, a Resolver still composes with every streaming
 /// consumer (evaluator, benches) as a plain un-batched drain.
 ///
-/// Thread-safety: Serve() may be called from any number of threads. A
-/// ResolverSession's own accounting is NOT synchronized — give each
-/// concurrent client its own session (sessions are lightweight; all of
-/// them share this resolver's stream and admission order). Next() is a
-/// single-consumer drain and must not be interleaved with concurrent
-/// Serve() calls.
+/// Thread-safety: Serve() may be called from any number of threads; all
+/// callers share this resolver's stream and admission order, and each
+/// keeps its own per-client counts. Next() is a single-consumer drain and
+/// must not be interleaved with concurrent Serve() calls.
 class Resolver : public ProgressiveEmitter {
  public:
   /// Validates `options`, builds the engine and wraps it. Returns
@@ -320,18 +251,13 @@ class Resolver : public ProgressiveEmitter {
   const InitStats& init_stats() const { return engine_->init_stats(); }
 
   /// The validated configuration the resolver was created with.
-  const ResolverOptions& options() const { return options_; }
+  const ResolverOptions& options() const { return engine_->options(); }
 
-  /// Opens a serving session. Sessions are lightweight handles: any
-  /// number may be open at once, all sharing this resolver's stream and
-  /// FIFO admission order. The resolver must outlive its sessions.
-  ResolverSession OpenSession();
-
-  /// Serves one request (ResolverSession::Resolve delegates here): takes
-  /// the next admission ticket, waits until every earlier ticket has been
-  /// served, then draws up to min(budget, max_batch) comparisons off the
-  /// shared stream — giving up losslessly at the request's deadline or
-  /// cancellation. Blocking; safe from concurrent threads, including
+  /// Serves one pay-as-you-go request: takes the next admission ticket,
+  /// waits until every earlier ticket has been served, then draws up to
+  /// min(budget, max_batch) comparisons off the shared stream — giving
+  /// up losslessly at the request's deadline or cancellation. Blocking;
+  /// safe from concurrent threads, including
   /// concurrently with Drain(). After Drain() began, requests are
   /// rejected with FailedPrecondition (empty slice, no stream consumed).
   ResolveResult Serve(const ResolveRequest& request);
@@ -351,10 +277,8 @@ class Resolver : public ProgressiveEmitter {
   }
 
  private:
-  Resolver(ResolverOptions options,
-           std::unique_ptr<ProgressiveEngine> engine);
+  explicit Resolver(std::unique_ptr<ProgressiveEngine> engine);
 
-  ResolverOptions options_;
   std::unique_ptr<ProgressiveEngine> engine_;
 
   /// Session metric sinks, created once at construction when telemetry is
@@ -400,41 +324,6 @@ class Resolver : public ProgressiveEmitter {
   /// re-reporting the Internal status.
   bool poison_reported_ SPER_GUARDED_BY(mutex_) = false;
 };
-
-/// A client's handle on a Resolver's stream: per-session accounting over
-/// the resolver's shared ticketed FIFO admission. Copyable/movable;
-/// sessions hold no stream state of their own (the scheduler — the
-/// resolver — owns the cursor, per the serving framing of progressive
-/// ER). The accounting counters are not synchronized: one session per
-/// concurrent client (see the Resolver thread-safety note).
-class ResolverSession {
- public:
-  /// The resolver must outlive the session.
-  explicit ResolverSession(Resolver& resolver) : resolver_(&resolver) {}
-
-  /// Serves one pay-as-you-go request; see Resolver::Serve.
-  ResolveResult Resolve(const ResolveRequest& request) {
-    ResolveResult result = resolver_->Serve(request);
-    ++requests_served_;
-    delivered_ += result.comparisons.size();
-    return result;
-  }
-
-  /// Requests this session has served (including empty slices).
-  std::uint64_t requests_served() const { return requests_served_; }
-
-  /// Comparisons this session has delivered across all requests.
-  std::uint64_t delivered() const { return delivered_; }
-
- private:
-  Resolver* resolver_;
-  std::uint64_t requests_served_ = 0;
-  std::uint64_t delivered_ = 0;
-};
-
-inline ResolverSession Resolver::OpenSession() {
-  return ResolverSession(*this);
-}
 
 }  // namespace sper
 

@@ -3,27 +3,21 @@
 namespace sper {
 
 BlockCollection BuildTokenWorkflowBlocks(const ProfileStore& store,
-                                         const TokenWorkflowOptions& options,
-                                         TokenWorkflowTiming* timing) {
-  TokenWorkflowTiming local;
-  if (timing == nullptr) timing = &local;
+                                         const TokenWorkflowOptions& options) {
   BlockCollection blocks = [&] {
-    obs::ScopedPhase phase(options.telemetry, "token_blocking",
-                           &timing->token_blocking_seconds);
+    obs::ScopedPhase phase(options.telemetry, "token_blocking");
     TokenBlockingOptions token_blocking = options.token_blocking;
     token_blocking.num_threads = options.num_threads;
     return TokenBlocking(store, token_blocking);
   }();
   if (options.enable_purging) {
-    obs::ScopedPhase phase(options.telemetry, "block_purging",
-                           &timing->purging_seconds);
+    obs::ScopedPhase phase(options.telemetry, "block_purging");
     BlockPurgingOptions purging = options.purging;
     purging.num_threads = options.num_threads;
     blocks = BlockPurging(blocks, store.size(), purging);
   }
   if (options.enable_filtering) {
-    obs::ScopedPhase phase(options.telemetry, "block_filtering",
-                           &timing->filtering_seconds);
+    obs::ScopedPhase phase(options.telemetry, "block_filtering");
     BlockFilteringOptions filtering = options.filtering;
     filtering.num_threads = options.num_threads;
     blocks = BlockFiltering(blocks, filtering);

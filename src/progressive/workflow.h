@@ -35,19 +35,11 @@ struct TokenWorkflowOptions {
   obs::TelemetryScope telemetry;
 };
 
-/// Per-step wall-clock seconds of one workflow run (always filled, even
-/// with telemetry disabled or compiled out — feeds InitStats::phases).
-struct TokenWorkflowTiming {
-  double token_blocking_seconds = 0.0;
-  double purging_seconds = 0.0;
-  double filtering_seconds = 0.0;
-};
-
 /// Runs workflow steps 1-3 and returns the resulting block collection.
-/// When `timing` is given, fills it with the per-step breakdown.
+/// Each step is timed into `options.telemetry` as a phase
+/// ("token_blocking", "block_purging", "block_filtering").
 BlockCollection BuildTokenWorkflowBlocks(
-    const ProfileStore& store, const TokenWorkflowOptions& options = {},
-    TokenWorkflowTiming* timing = nullptr);
+    const ProfileStore& store, const TokenWorkflowOptions& options = {});
 
 }  // namespace sper
 

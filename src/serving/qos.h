@@ -38,8 +38,8 @@
 ///      batch (the WRR cycle bounds every class's share);
 ///   4. doomed-request eviction: a request whose deadline will expire
 ///      before its estimated service start is failed immediately
-///      (kEvicted — deadline_exceeded() reads true) instead of occupying
-///      a queue slot it can never use.
+///      (kEvicted: the deadline is missed, as with kDeadlineExpired)
+///      instead of occupying a queue slot it can never use.
 ///
 /// Dispatch is serialized: one request holds the resolver at a time, so
 /// the resolver's ticket order *is* the WRR dispatch order and the

@@ -1,8 +1,8 @@
-// Determinism guarantees: the library documents that every run is
-// reproducible bit-for-bit given the seeds (DESIGN.md §3). These tests pin
-// that contract for every progressive method and for the evaluation layer:
-// same store + same options => identical emission sequences, including
-// weights.
+// Determinism guarantees: every run is reproducible bit-for-bit given
+// the seeds (the generators draw only from seeded RNGs, datagen/rng.h).
+// These tests pin that contract for every progressive method and for the
+// evaluation layer: same store + same options => identical emission
+// sequences, including weights.
 
 #include <gtest/gtest.h>
 
@@ -48,11 +48,10 @@ TEST_P(MethodDeterminismTest, SameSeedSameEmissionSequence) {
   Result<DatasetBundle> a = GenerateDataset("restaurant");
   Result<DatasetBundle> b = GenerateDataset("restaurant");
   ASSERT_TRUE(a.ok() && b.ok());
-  MethodConfig config;
-  std::unique_ptr<ProgressiveEmitter> ea =
-      MakeResolver(GetParam(), a.value(), config);
-  std::unique_ptr<ProgressiveEmitter> eb =
-      MakeResolver(GetParam(), b.value(), config);
+  ResolverOptions config;
+  config.method = GetParam();
+  std::unique_ptr<ProgressiveEmitter> ea = MakeResolver(a.value(), config);
+  std::unique_ptr<ProgressiveEmitter> eb = MakeResolver(b.value(), config);
   ASSERT_TRUE(ea != nullptr && eb != nullptr);
   ExpectSameSequence(Drain(ea.get(), 2000), Drain(eb.get(), 2000));
 }
@@ -60,11 +59,12 @@ TEST_P(MethodDeterminismTest, SameSeedSameEmissionSequence) {
 TEST_P(MethodDeterminismTest, TwoEmittersOnOneStoreAgree) {
   Result<DatasetBundle> dataset = GenerateDataset("census");
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = GetParam();
   std::unique_ptr<ProgressiveEmitter> ea =
-      MakeResolver(GetParam(), dataset.value(), config);
+      MakeResolver(dataset.value(), config);
   std::unique_ptr<ProgressiveEmitter> eb =
-      MakeResolver(GetParam(), dataset.value(), config);
+      MakeResolver(dataset.value(), config);
   ExpectSameSequence(Drain(ea.get(), 2000), Drain(eb.get(), 2000));
 }
 
@@ -118,7 +118,7 @@ TEST_P(ThreadCountInvarianceTest, OneAndFourThreadsEmitIdenticalSequences) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   auto run = [&](std::size_t num_threads) {
-    EngineConfig options;
+    ResolverOptions options;
     options.method = GetParam();
     options.num_threads = num_threads;
     ProgressiveEngine engine(dataset.value().store, options);
@@ -176,7 +176,7 @@ TEST(DeterminismTest, EjsDegreePassIsThreadCountInvariant) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   auto run = [&](std::size_t num_threads) {
-    EngineConfig options;
+    ResolverOptions options;
     options.method = MethodId::kPps;
     options.scheme = WeightingScheme::kEjs;
     options.num_threads = num_threads;
@@ -200,10 +200,7 @@ TEST(DeterminismTest, EvaluatorRecallIsRunInvariant) {
   options.ecstar_max = 5.0;
   options.auc_at = {1.0, 5.0};
   ProgressiveEvaluator evaluator(dataset.value().truth, options);
-  MethodConfig config;
-  auto factory = [&] {
-    return MakeResolver(MethodId::kPps, dataset.value(), config);
-  };
+  auto factory = [&] { return MakeResolver(dataset.value(), {}); };
   RunResult a = evaluator.Run(factory);
   RunResult b = evaluator.Run(factory);
   EXPECT_EQ(a.emissions, b.emissions);

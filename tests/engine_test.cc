@@ -40,7 +40,7 @@ TEST(ProgressiveEngineTest, MatchesDirectlyConstructedEmitter) {
   BlockCollection blocks = BuildTokenWorkflowBlocks(dataset.store);
   PpsEmitter direct(dataset.store, std::move(blocks));
 
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPps;
   ProgressiveEngine engine(dataset.store, options);
 
@@ -56,7 +56,7 @@ TEST(ProgressiveEngineTest, MatchesDirectlyConstructedEmitter) {
 
 TEST(ProgressiveEngineTest, BudgetCapsEmission) {
   const DatasetBundle dataset = Restaurant();
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPps;
   options.budget = 10;
   ProgressiveEngine engine(dataset.store, options);
@@ -70,7 +70,7 @@ TEST(ProgressiveEngineTest, BudgetCapsEmission) {
 
 TEST(ProgressiveEngineTest, ZeroBudgetMeansUnlimited) {
   const DatasetBundle dataset = Restaurant();
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPps;
   ProgressiveEngine engine(dataset.store, options);
   std::vector<Comparison> emitted = Drain(&engine, 1000000);
@@ -89,7 +89,7 @@ TEST(ProgressiveEngineTest, RoutesEveryScheduleBasedMethod) {
        {Case{MethodId::kSaPsn, "SA-PSN"}, Case{MethodId::kSaPsab, "SA-PSAB"},
         Case{MethodId::kLsPsn, "LS-PSN"}, Case{MethodId::kGsPsn, "GS-PSN"},
         Case{MethodId::kPbs, "PBS"}, Case{MethodId::kPps, "PPS"}}) {
-    EngineConfig options;
+    ResolverOptions options;
     options.method = c.method;
     ProgressiveEngine engine(dataset.store, options);
     EXPECT_EQ(engine.name(), c.name);
@@ -100,7 +100,7 @@ TEST(ProgressiveEngineTest, RoutesEveryScheduleBasedMethod) {
 TEST(ProgressiveEngineTest, RunsSchemaBasedPsnWithKey) {
   const DatasetBundle dataset = Restaurant();
   ASSERT_TRUE(dataset.psn_key != nullptr);
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPsn;
   options.schema_key = dataset.psn_key;
   ProgressiveEngine engine(dataset.store, options);
@@ -110,7 +110,7 @@ TEST(ProgressiveEngineTest, RunsSchemaBasedPsnWithKey) {
 
 TEST(ProgressiveEngineTest, InitStatsReportWorkflowCollection) {
   const DatasetBundle dataset = Restaurant();
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPps;
   ProgressiveEngine engine(dataset.store, options);
   const InitStats& stats = engine.init_stats();

@@ -4,12 +4,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/csv.h"
 #include "io/dataset_io.h"
+#include "mutate.h"
 
 namespace sper {
 namespace {
@@ -77,10 +79,9 @@ TEST(CsvRecordTest, UnterminatedQuoteIsToleratedAtEof) {
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "open\nstill open"}));
 }
 
-// Property: any vector of fields — commas, quotes, CRs, LFs, empty and
-// pathological mixes — survives CsvJoin -> CsvReadRecord -> CsvSplit.
-TEST(CsvRecordTest, RoundTripPropertyOverHostileFields) {
-  const std::vector<std::vector<std::string>> cases = {
+/// Fields with commas, quotes, CRs, LFs, empty and pathological mixes.
+std::vector<std::vector<std::string>> HostileRows() {
+  return {
       {"plain", "with,comma", "with \"quote\""},
       {"embedded\nnewline", "x"},
       {"embedded\rcarriage", "y"},
@@ -93,7 +94,12 @@ TEST(CsvRecordTest, RoundTripPropertyOverHostileFields) {
       {"quote at end\""},
       {"\"quote at start"},
   };
-  for (const std::vector<std::string>& fields : cases) {
+}
+
+// Property: any vector of hostile fields survives CsvJoin ->
+// CsvReadRecord -> CsvSplit.
+TEST(CsvRecordTest, RoundTripPropertyOverHostileFields) {
+  for (const std::vector<std::string>& fields : HostileRows()) {
     std::string file;
     for (int copies = 0; copies < 2; ++copies) {
       file += CsvJoin(fields);
@@ -106,6 +112,27 @@ TEST(CsvRecordTest, RoundTripPropertyOverHostileFields) {
       EXPECT_EQ(CsvSplit(record), fields) << CsvJoin(fields);
     }
     EXPECT_FALSE(CsvReadRecord(in, &record));
+  }
+}
+
+// Deterministic mutation fuzzing (fixed seed, tests/mutate.h) of the
+// hostile rows: whatever the bytes, the reader makes progress on every
+// call and reaches end of stream.
+TEST(CsvRecordTest, MutatedInputAlwaysReachesEof) {
+  std::mt19937_64 rng(20180416);
+  for (const std::vector<std::string>& fields : HostileRows()) {
+    const std::string seed = CsvJoin(fields) + "\n" + CsvJoin(fields) + "\n";
+    for (int m = 0; m < 2000; ++m) {
+      const std::string mutant = Mutate(seed, rng);
+      std::istringstream in(mutant);
+      std::string record;
+      std::size_t reads = 0;
+      while (CsvReadRecord(in, &record)) {
+        CsvSplit(record);
+        ASSERT_LE(++reads, mutant.size()) << "no progress";
+      }
+      EXPECT_TRUE(in.eof());
+    }
   }
 }
 

@@ -209,6 +209,15 @@ class BannedIdentifierTest(unittest.TestCase):
                                "auto shards = PartitionStore(store, 4);\n"}
         self.assertEqual(rules(run(files)), ["DET006"] * 3)
 
+    def test_flags_removed_config_session_and_phase_layers(self):
+        files = {"src/x/a.cc": "EngineConfig engine = ToEngineConfig(o);\n"
+                               "MethodConfig config;\n"
+                               "auto r = ToResolverOptions(id, ds, config);\n"
+                               "ResolverSession s = resolver->OpenSession();\n"
+                               "for (const InitPhase& p : phases) {}\n"
+                               "TokenWorkflowTiming timing;\n"}
+        self.assertEqual(rules(run(files)), ["DET006"] * 8)
+
     def test_silent_when_name_only_in_comment(self):
         files = {"src/x/a.cc":
                  "// EngineOptions was removed in PR 8.\nint x;\n"}
@@ -216,7 +225,7 @@ class BannedIdentifierTest(unittest.TestCase):
 
     def test_silent_on_new_names(self):
         files = {"src/x/a.cc":
-                 "EngineConfig config;\nInitStats stats;\n"}
+                 "ResolverOptions options;\nInitStats stats;\n"}
         self.assertEqual(rules(run(files)), [])
 
 

@@ -7,7 +7,9 @@
 //   weight bit patterns including NaN/infinities/-0.0/denormals), and
 //   rejects every malformed payload: truncation at any prefix length,
 //   foreign versions, unknown type/outcome/status/flag bytes, length
-//   fields pointing past the payload, trailing bytes;
+//   fields pointing past the payload, trailing bytes; every
+//   deterministically mutated frame a decoder accepts re-encodes to an
+//   equal value;
 // - ValidateResolveRequest is one validator for the CLI flag path and
 //   the wire decode path: max_batch/deadline_ms/priority bounds;
 // - the loopback server serves remote clients through QoS with the same
@@ -35,6 +37,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -42,6 +45,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/resolver.h"
+#include "mutate.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -85,8 +89,8 @@ bool SameComparisons(const std::vector<Comparison>& a,
   return true;
 }
 
-/// In-process reference: drains a fresh resolver through the session
-/// layer in fixed `slice`-sized requests and returns ticket -> slice.
+/// In-process reference: drains a fresh resolver through Serve() in
+/// fixed `slice`-sized requests and returns ticket -> slice.
 /// Tickets are dense from 0, so with every request identically sized the
 /// wire runs below admit the same request sequence and must reproduce
 /// exactly these slices at these tickets.
@@ -94,13 +98,12 @@ std::map<std::uint64_t, std::vector<Comparison>> ReferenceSlices(
     const ProfileStore& store, const ResolverOptions& options,
     std::uint64_t slice) {
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
   std::map<std::uint64_t, std::vector<Comparison>> out;
   for (;;) {
     ResolveRequest request;
     request.budget = slice;
     request.max_batch = slice;
-    ResolveResult result = session.Resolve(request);
+    ResolveResult result = resolver->Serve(request);
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     out[result.ticket] = std::move(result.comparisons);
     if (result.stream_exhausted || out[result.ticket].size() < slice) break;
@@ -386,6 +389,91 @@ TEST(WireTest, MetricsFramesRoundTrip) {
   std::string trailing(payload);
   trailing.push_back('!');
   EXPECT_FALSE(net::DecodeMetricsResult(trailing).ok());
+}
+
+// ------------------------------------------------ mutation fuzzing
+
+/// The round-trip frames above, as payloads: the fuzz seed corpus.
+std::vector<std::string> WireSeedCorpus() {
+  std::vector<std::string> corpus;
+  for (Priority priority :
+       {Priority::kInteractive, Priority::kBatch, Priority::kBestEffort}) {
+    corpus.push_back(
+        net::EncodeResolveRequestFrame(SampleRequest(priority)).substr(4));
+  }
+  for (std::uint8_t k = 0; k <= 6; ++k) {  // every outcome and status code
+    ResolveResult result = SampleResult();
+    result.outcome = static_cast<ResolveOutcome>(k);
+    result.status = Status::FromCode(static_cast<StatusCode>(k), "why");
+    result.budget_exhausted = k % 2 == 0;
+    result.comparisons.push_back(
+        {7, 8, std::numeric_limits<double>::quiet_NaN()});
+    corpus.push_back(net::EncodeResolveResultFrame(result).substr(4));
+  }
+  corpus.push_back(net::EncodeResolveResultFrame({}).substr(4));
+  corpus.push_back(
+      net::EncodeMetricsResultFrame("{\"schema\": \"sper.metrics.v1\"}")
+          .substr(4));
+  corpus.push_back(net::EncodeMetricsRequestFrame().substr(4));
+  return corpus;
+}
+
+TEST(WireFuzzTest, AcceptedMutantsReEncodeToEqualValues) {
+  // Deterministic mutation fuzzing (fixed seed, tests/mutate.h): every
+  // decoder must survive every mutant (the sanitizer builds run this),
+  // and whatever one accepts must re-encode to a frame that decodes to
+  // an equal value — a frame round-trips exactly or is rejected.
+  std::mt19937_64 rng(20180416);
+  std::size_t accepted = 0;
+  for (const std::string& seed : WireSeedCorpus()) {
+    ASSERT_TRUE(net::DecodeFrameHeader(seed).ok());
+    for (int m = 0; m < 2000; ++m) {
+      const std::string payload = Mutate(seed, rng);
+      Result<net::FrameType> type = net::DecodeFrameHeader(payload);
+      if (type.ok()) {
+        EXPECT_EQ(static_cast<std::uint8_t>(payload[0]), net::kWireVersion);
+        EXPECT_EQ(static_cast<char>(type.value()), payload[1]);
+      }
+      if (Result<ResolveRequest> r = net::DecodeResolveRequest(payload);
+          r.ok()) {
+        ++accepted;
+        Result<ResolveRequest> again = net::DecodeResolveRequest(
+            net::EncodeResolveRequestFrame(r.value()).substr(4));
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        EXPECT_EQ(again.value().budget, r.value().budget);
+        EXPECT_EQ(again.value().max_batch, r.value().max_batch);
+        EXPECT_EQ(again.value().deadline_ms, r.value().deadline_ms);
+        EXPECT_EQ(again.value().client_id, r.value().client_id);
+        EXPECT_EQ(again.value().priority, r.value().priority);
+      }
+      if (Result<ResolveResult> r = net::DecodeResolveResult(payload);
+          r.ok()) {
+        ++accepted;
+        Result<ResolveResult> again = net::DecodeResolveResult(
+            net::EncodeResolveResultFrame(r.value()).substr(4));
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        EXPECT_EQ(again.value().ticket, r.value().ticket);
+        EXPECT_EQ(again.value().outcome, r.value().outcome);
+        EXPECT_EQ(again.value().stream_exhausted, r.value().stream_exhausted);
+        EXPECT_EQ(again.value().budget_exhausted, r.value().budget_exhausted);
+        EXPECT_EQ(again.value().status.code(), r.value().status.code());
+        EXPECT_EQ(again.value().status.message(), r.value().status.message());
+        EXPECT_EQ(again.value().retry_after_ms, r.value().retry_after_ms);
+        EXPECT_TRUE(SameComparisons(again.value().comparisons,
+                                    r.value().comparisons));
+      }
+      if (Result<std::string> r = net::DecodeMetricsResult(payload); r.ok()) {
+        ++accepted;
+        Result<std::string> again = net::DecodeMetricsResult(
+            net::EncodeMetricsResultFrame(r.value()).substr(4));
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        EXPECT_EQ(again.value(), r.value());
+      }
+    }
+  }
+  // About one mutant in sixteen stays well-formed, so the acceptance side
+  // of the property is exercised, not just the rejections.
+  EXPECT_GT(accepted, 1000u);
 }
 
 TEST(WireTest, StreamDigestMatchesTheFnvFold) {
@@ -753,8 +841,7 @@ TEST(ServerLoopbackTest, ShutdownDrainsCleanlyAndIsIdempotent) {
   // ...the listener is gone...
   EXPECT_FALSE(net::Client::Connect("127.0.0.1", port).ok());
   // ...and the resolver behind it has drained: direct serves now reject.
-  ResolverSession session = loopback.resolver->OpenSession();
-  const ResolveResult drained = session.Resolve(request);
+  const ResolveResult drained = loopback.resolver->Serve(request);
   EXPECT_EQ(drained.outcome, ResolveOutcome::kRejected);
 }
 

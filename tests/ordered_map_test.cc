@@ -294,7 +294,7 @@ TEST_P(OrderedRefillStreamTest, EveryThreadCountEmitsTheSerialStream) {
 
   for (std::size_t num_threads : {1u, 2u, 3u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
-    EngineConfig config;
+    ResolverOptions config;
     config.method = GetParam().method;
     config.num_threads = num_threads;
     ProgressiveEngine engine(store, config);
@@ -338,13 +338,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(OrderedRefillEngineTest, BudgetExhaustionAbandonsTheWorkersCleanly) {
   const ProfileStore store = DirtyStore();
-  EngineConfig unbudgeted;
+  ResolverOptions unbudgeted;
   unbudgeted.method = MethodId::kPps;
   unbudgeted.num_threads = 4;
   ProgressiveEngine full(store, unbudgeted);
   const std::vector<Comparison> reference = Drain(&full, 25);
 
-  EngineConfig options = unbudgeted;
+  ResolverOptions options = unbudgeted;
   options.budget = 25;
   ProgressiveEngine engine(store, options);
   const std::vector<Comparison> emitted = Drain(&engine);
@@ -356,7 +356,7 @@ TEST(OrderedRefillEngineTest, BudgetExhaustionAbandonsTheWorkersCleanly) {
 
 TEST(OrderedRefillEngineTest, DrainMidStreamStopsTheStream) {
   const ProfileStore store = DirtyStore();
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPbs;
   config.num_threads = 4;
   ProgressiveEngine engine(store, config);
@@ -368,11 +368,11 @@ TEST(OrderedRefillEngineTest, DrainMidStreamStopsTheStream) {
 
 TEST(OrderedRefillEngineTest, SortBasedMethodsIgnoreThreadsForEmission) {
   const ProfileStore store = DirtyStore();
-  EngineConfig serial;
+  ResolverOptions serial;
   serial.method = MethodId::kSaPsn;
   ProgressiveEngine reference(store, serial);
 
-  EngineConfig options = serial;
+  ResolverOptions options = serial;
   options.num_threads = 4;
   ProgressiveEngine engine(store, options);
   ExpectSameSequence(Drain(&engine, 500), Drain(&reference, 500));

@@ -433,7 +433,6 @@ TEST(QosControllerTest, DeadlinePassedWhileQueuedEvictsWithoutATicket) {
   barely.join();
 
   EXPECT_EQ(doomed_result.outcome, ResolveOutcome::kEvicted);
-  EXPECT_TRUE(doomed_result.deadline_exceeded());
   EXPECT_FALSE(doomed_result.admitted());
   EXPECT_TRUE(doomed_result.status.ok()) << "a cut is not an error";
   EXPECT_TRUE(doomed_result.comparisons.empty());
@@ -471,7 +470,6 @@ TEST(QosControllerTest, DoomedOnArrivalIsEvictedImmediately) {
   hopeless.deadline_ms = 5;
   ResolveResult evicted = controller.Resolve(hopeless);
   EXPECT_EQ(evicted.outcome, ResolveOutcome::kEvicted);
-  EXPECT_TRUE(evicted.deadline_exceeded());
   EXPECT_EQ(controller.queue_depth(), 1u) << "never queued";
 
   controller.SetDispatchPaused(false);
@@ -617,23 +615,21 @@ TEST(ResolveOutcomeTest, NamesAreStable) {
   EXPECT_EQ(ToString(ResolveOutcome::kFailed), "failed");
 }
 
-TEST(ResolveOutcomeTest, AccessorsDeriveFromTheOutcome) {
+TEST(ResolveOutcomeTest, AdmittedDerivesFromTheOutcome) {
   ResolveResult result;
   EXPECT_TRUE(result.admitted());
-  EXPECT_FALSE(result.deadline_exceeded());
-  EXPECT_FALSE(result.cancelled());
-
-  result.outcome = ResolveOutcome::kEvicted;
-  EXPECT_TRUE(result.deadline_exceeded()) << "an evicted deadline is missed";
-  EXPECT_FALSE(result.admitted());
-
-  result.outcome = ResolveOutcome::kShed;
-  EXPECT_FALSE(result.admitted());
-  EXPECT_FALSE(result.deadline_exceeded());
-
-  result.outcome = ResolveOutcome::kCancelled;
-  EXPECT_TRUE(result.cancelled());
-  EXPECT_TRUE(result.admitted()) << "a cancelled request held a ticket";
+  for (ResolveOutcome outcome :
+       {ResolveOutcome::kDeadlineExpired, ResolveOutcome::kCancelled,
+        ResolveOutcome::kFailed}) {
+    result.outcome = outcome;
+    EXPECT_TRUE(result.admitted()) << ToString(outcome) << " held a ticket";
+  }
+  for (ResolveOutcome outcome :
+       {ResolveOutcome::kShed, ResolveOutcome::kEvicted,
+        ResolveOutcome::kRejected}) {
+    result.outcome = outcome;
+    EXPECT_FALSE(result.admitted()) << ToString(outcome);
+  }
 }
 
 TEST(ResolveOutcomeTest, PriorityNamesRoundTrip) {

@@ -4,7 +4,7 @@
 // - Resolver::Create validates ResolverOptions with a clear error Status
 //   (no silent fallbacks);
 // - the engine's budget accounting cuts the stream to an exact prefix;
-// - ResolverSession slices concatenate bit-identically to one un-batched
+// - Resolver::Serve slices concatenate bit-identically to one un-batched
 //   drain at every (method, ER type, threads, batch size) combination,
 //   including under concurrent ticketed FIFO admission;
 // - per-request pay-as-you-go: zero-budget requests buy nothing, the
@@ -111,7 +111,7 @@ TEST(ResolverOptionsTest, CreateBuildsTheRequestedMethod) {
 TEST(EngineBudgetTest, BudgetedStreamIsThePrefixOfTheUnbudgetedOne) {
   const ProfileStore store = DirtyStore();
 
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
   ProgressiveEngine unbudgeted(store, config);
   const std::vector<Comparison> reference = Drain(&unbudgeted, 40);
@@ -160,10 +160,9 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
       ResolverOptions batched = options;
       batched.num_threads = num_threads;
       std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
-      ResolverSession session = resolver->OpenSession();
       std::vector<Comparison> concatenated;
       for (;;) {
-        ResolveResult slice = session.Resolve({batch, batch});
+        ResolveResult slice = resolver->Serve({batch, batch});
         EXPECT_LE(slice.comparisons.size(), batch);
         concatenated.insert(concatenated.end(), slice.comparisons.begin(),
                             slice.comparisons.end());
@@ -193,65 +192,60 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------- per-request budgets
 
-TEST(ResolverSessionTest, GlobalBudgetExhaustsMidBatch) {
+TEST(ResolverServeTest, GlobalBudgetExhaustsMidBatch) {
   const ProfileStore store = DirtyStore();
   ResolverOptions options;
   options.budget = 25;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
 
-  ResolveResult first = session.Resolve({10, 0});
+  ResolveResult first = resolver->Serve({10, 0});
   EXPECT_EQ(first.comparisons.size(), 10u);
   EXPECT_FALSE(first.budget_exhausted);
 
-  ResolveResult second = session.Resolve({10, 0});
+  ResolveResult second = resolver->Serve({10, 0});
   EXPECT_EQ(second.comparisons.size(), 10u);
 
   // The third request pays for 10 but the global budget only covers 5:
   // the slice comes back short with the flag set.
-  ResolveResult third = session.Resolve({10, 0});
+  ResolveResult third = resolver->Serve({10, 0});
   EXPECT_EQ(third.comparisons.size(), 5u);
   EXPECT_TRUE(third.budget_exhausted);
   EXPECT_FALSE(third.stream_exhausted);
 
   // Requests after exhaustion buy nothing and say why.
-  ResolveResult fourth = session.Resolve({10, 0});
+  ResolveResult fourth = resolver->Serve({10, 0});
   EXPECT_TRUE(fourth.comparisons.empty());
   EXPECT_TRUE(fourth.budget_exhausted);
 
   EXPECT_TRUE(resolver->BudgetExhausted());
   EXPECT_EQ(resolver->emitted(), 25u);
-  EXPECT_EQ(session.requests_served(), 4u);
-  EXPECT_EQ(session.delivered(), 25u);
 }
 
-TEST(ResolverSessionTest, ZeroBudgetRequestBuysNothingAndConsumesNothing) {
+TEST(ResolverServeTest, ZeroBudgetRequestBuysNothingAndConsumesNothing) {
   const ProfileStore store = DirtyStore();
   std::unique_ptr<Resolver> reference = MustCreate(store, {});
   const std::optional<Comparison> head = reference->Next();
   ASSERT_TRUE(head.has_value());
 
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
-  ResolveResult probe = session.Resolve({0, 0});
+  ResolveResult probe = resolver->Serve({0, 0});
   EXPECT_TRUE(probe.comparisons.empty());
   EXPECT_FALSE(probe.budget_exhausted);
   EXPECT_EQ(resolver->emitted(), 0u);
 
   // The probe did not advance the stream: the next request still gets
   // the true head of the ranked stream.
-  ResolveResult next = session.Resolve({1, 0});
+  ResolveResult next = resolver->Serve({1, 0});
   ASSERT_EQ(next.comparisons.size(), 1u);
   EXPECT_EQ(next.comparisons[0].i, head->i);
   EXPECT_EQ(next.comparisons[0].j, head->j);
   EXPECT_EQ(next.comparisons[0].weight, head->weight);
 }
 
-TEST(ResolverSessionTest, MaxBatchCapsTheSliceWithoutSpendingTheRest) {
+TEST(ResolverServeTest, MaxBatchCapsTheSliceWithoutSpendingTheRest) {
   const ProfileStore store = DirtyStore();
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
-  ResolveResult slice = session.Resolve({/*budget=*/100, /*max_batch=*/7});
+  ResolveResult slice = resolver->Serve({/*budget=*/100, /*max_batch=*/7});
   EXPECT_EQ(slice.comparisons.size(), 7u);
   // Pay only for what is delivered: the un-drawn 93 stay in the stream.
   EXPECT_EQ(resolver->emitted(), 7u);
@@ -259,7 +253,7 @@ TEST(ResolverSessionTest, MaxBatchCapsTheSliceWithoutSpendingTheRest) {
 
 // ------------------------------------------------- ticketed FIFO admission
 
-TEST(ResolverSessionTest, ConcurrentClientsReassembleToOneDrain) {
+TEST(ResolverServeTest, ConcurrentClientsReassembleToOneDrain) {
   const ProfileStore store = DirtyStore();
   ResolverOptions options;
   options.budget = 595;
@@ -278,10 +272,9 @@ TEST(ResolverSessionTest, ConcurrentClientsReassembleToOneDrain) {
     std::vector<std::thread> clients;
     for (std::size_t t = 0; t < per_thread.size(); ++t) {
       clients.emplace_back([&, t] {
-        // Each client runs its own session against the shared resolver.
-        ResolverSession session = resolver->OpenSession();
+        // Each client serves its own requests off the shared resolver.
         for (;;) {
-          ResolveResult result = session.Resolve({7, 0});
+          ResolveResult result = resolver->Serve({7, 0});
           const bool done = result.comparisons.empty();
           per_thread[t].push_back(
               {result.ticket, std::move(result.comparisons)});

@@ -190,7 +190,6 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ASSERT_FALSE(reference.empty());
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
     std::vector<Comparison> concatenated;
     const auto append = [&](const ResolveResult& slice) {
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
@@ -198,7 +197,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     };
 
     // A normal slice first, so the cuts land mid-stream.
-    ResolveResult normal = session.Resolve({100, 0});
+    ResolveResult normal = resolver->Serve({100, 0});
     EXPECT_EQ(normal.comparisons.size(), 100u);
     EXPECT_TRUE(normal.status.ok());
     append(normal);
@@ -210,22 +209,20 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ResolveRequest cancelled_request;
     cancelled_request.budget = 1000;
     cancelled_request.cancel = source.token();
-    ResolveResult cancelled = session.Resolve(cancelled_request);
-    EXPECT_TRUE(cancelled.cancelled());
-    EXPECT_FALSE(cancelled.deadline_exceeded());
+    ResolveResult cancelled = resolver->Serve(cancelled_request);
+    EXPECT_EQ(cancelled.outcome, ResolveOutcome::kCancelled);
     EXPECT_TRUE(cancelled.status.ok()) << "a cut is not an error";
     EXPECT_TRUE(cancelled.comparisons.empty());
     append(cancelled);
 
     // A request whose deadline already passed at arrival: same guarantee,
-    // reported as deadline_exceeded.
+    // reported as kDeadlineExpired.
     ResolveRequest expired_request;
     expired_request.budget = 1000;
     expired_request.cancel =
         CancelToken().WithDeadline(std::chrono::nanoseconds(0));
-    ResolveResult expired = session.Resolve(expired_request);
-    EXPECT_TRUE(expired.deadline_exceeded());
-    EXPECT_FALSE(expired.cancelled());
+    ResolveResult expired = resolver->Serve(expired_request);
+    EXPECT_EQ(expired.outcome, ResolveOutcome::kDeadlineExpired);
     EXPECT_TRUE(expired.status.ok());
     EXPECT_TRUE(expired.comparisons.empty());
     append(expired);
@@ -234,15 +231,15 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ResolveRequest generous;
     generous.budget = 100;
     generous.deadline_ms = 600000;
-    ResolveResult relaxed = session.Resolve(generous);
+    ResolveResult relaxed = resolver->Serve(generous);
     EXPECT_EQ(relaxed.comparisons.size(), 100u);
-    EXPECT_FALSE(relaxed.deadline_exceeded());
+    EXPECT_EQ(relaxed.outcome, ResolveOutcome::kServed);
     append(relaxed);
 
     // Drain the remainder: the concatenation across normal, cut and
     // post-cut slices must be the exact reference stream.
     for (;;) {
-      ResolveResult slice = session.Resolve({500, 0});
+      ResolveResult slice = resolver->Serve({500, 0});
       append(slice);
       if (slice.comparisons.empty() || slice.budget_exhausted ||
           slice.stream_exhausted) {
@@ -258,16 +255,15 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
 TEST(ResolverDrainTest, DrainRejectsAfterwardsAndIsIdempotent) {
   const ProfileStore store = DirtyStore();
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
 
-  ResolveResult before = session.Resolve({10, 0});
+  ResolveResult before = resolver->Serve({10, 0});
   EXPECT_EQ(before.comparisons.size(), 10u);
   EXPECT_FALSE(resolver->draining());
 
   resolver->Drain();
   EXPECT_TRUE(resolver->draining());
 
-  ResolveResult after = session.Resolve({10, 0});
+  ResolveResult after = resolver->Serve({10, 0});
   EXPECT_TRUE(after.comparisons.empty());
   EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(after.status.message().find("draining"), std::string::npos);
@@ -305,9 +301,8 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
       std::vector<std::thread> clients;
       for (std::size_t t = 0; t < kClients; ++t) {
         clients.emplace_back([&, t] {
-          ResolverSession session = resolver->OpenSession();
           for (;;) {
-            ResolveResult result = session.Resolve({64, 0});
+            ResolveResult result = resolver->Serve({64, 0});
             const bool rejected = !result.status.ok();
             const bool dry = result.status.ok() &&
                              (result.stream_exhausted ||
@@ -403,9 +398,8 @@ TEST(ResolverDrainTest, ConcurrentServeDrainAndSnapshotAreRaceFree) {
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&] {
-      ResolverSession session = resolver->OpenSession();
       for (;;) {
-        ResolveResult slice = session.Resolve({64, 0});
+        ResolveResult slice = resolver->Serve({64, 0});
         served.fetch_add(slice.comparisons.size(),
                          std::memory_order_relaxed);
         if (!slice.status.ok() || slice.stream_exhausted ||
@@ -578,7 +572,6 @@ TEST(QosRobustnessTest, DoomedEvictionVsBarelyMakesDeadline) {
   barely.join();
 
   EXPECT_EQ(doomed_result.outcome, ResolveOutcome::kEvicted);
-  EXPECT_TRUE(doomed_result.deadline_exceeded());
   EXPECT_TRUE(doomed_result.comparisons.empty());
   ASSERT_EQ(barely_result.outcome, ResolveOutcome::kServed);
   EXPECT_EQ(barely_result.ticket, 0u)
@@ -689,14 +682,13 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     ResolverOptions options;
     options.num_threads = threads;
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
 
     // The failure is contained: some requests may still serve from
     // batches produced before the throw, then exactly one request
     // reports the Internal status with the engine's batch context.
     ResolveResult failed;
     for (int k = 0; k < 64; ++k) {
-      failed = session.Resolve({256, 0});
+      failed = resolver->Serve({256, 0});
       if (!failed.status.ok() || failed.stream_exhausted) break;
     }
     ASSERT_FALSE(failed.status.ok()) << "fault never surfaced";
@@ -710,7 +702,7 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 
     // Poisoning is sticky: later requests get the stable
     // FailedPrecondition answer, not UB and not a re-report.
-    ResolveResult after = session.Resolve({256, 0});
+    ResolveResult after = resolver->Serve({256, 0});
     EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(after.status.message().find("poisoned"), std::string::npos);
     EXPECT_TRUE(after.comparisons.empty());
@@ -743,7 +735,6 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
     obs::FaultRegistry::Global().Arm("refill", stall);
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
     std::vector<Comparison> concatenated;
     std::uint64_t cuts = 0;
     bool done = false;
@@ -751,11 +742,11 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
       ResolveRequest request;
       request.budget = kBudget;
       request.deadline_ms = 8;
-      ResolveResult slice = session.Resolve(request);
+      ResolveResult slice = resolver->Serve(request);
       ASSERT_TRUE(slice.status.ok()) << slice.status.ToString();
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
                           slice.comparisons.end());
-      cuts += slice.deadline_exceeded() ? 1 : 0;
+      cuts += slice.outcome == ResolveOutcome::kDeadlineExpired ? 1 : 0;
       done = slice.stream_exhausted || slice.budget_exhausted;
       if (cuts >= 3 && !done) break;  // enough deadline pressure observed
     }
@@ -767,7 +758,7 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
     // concatenation must be bit-identical to the fault-free reference.
     obs::FaultRegistry::Global().Disarm("refill");
     while (!done) {
-      ResolveResult slice = session.Resolve({kBudget, 0});
+      ResolveResult slice = resolver->Serve({kBudget, 0});
       ASSERT_TRUE(slice.status.ok()) << slice.status.ToString();
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
                           slice.comparisons.end());
@@ -792,9 +783,8 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   options.num_threads = 2;
   options.budget = 600;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
   for (;;) {
-    ResolveResult slice = session.Resolve({128, 0});
+    ResolveResult slice = resolver->Serve({128, 0});
     if (slice.comparisons.empty() || slice.stream_exhausted ||
         slice.budget_exhausted) {
       break;

@@ -26,10 +26,15 @@ src/:
                               error-silent number parsing.
   DET006 banned-identifier    Identifiers of removed APIs (EngineOptions,
                               ShardedEngineOptions, MakeEmitter,
-                              EngineInitStats, ShardedInitStats, and the
+                              EngineInitStats, ShardedInitStats; the
                               hash-sharding layer: ShardedEngine,
-                              KWayMerge, PartitionStore) must not
-                              reappear.
+                              KWayMerge, PartitionStore; and the
+                              duplicate configuration, session and
+                              phase-timing layers: EngineConfig,
+                              ToEngineConfig, MethodConfig,
+                              ToResolverOptions, ResolverSession,
+                              OpenSession, InitPhase,
+                              TokenWorkflowTiming) must not reappear.
 
 Comments and string/char literals are stripped (line numbers preserved)
 before matching, so prose mentioning a banned name never trips the lint.
@@ -72,7 +77,10 @@ BANNED_RANDOM = ("rand", "srand", "random_device", "time", "clock")
 BANNED_STRTOD = ("atof", "atoi", "atol", "atoll")
 BANNED_IDENTIFIERS = ("EngineOptions", "ShardedEngineOptions", "MakeEmitter",
                       "EngineInitStats", "ShardedInitStats", "ShardedEngine",
-                      "KWayMerge", "PartitionStore")
+                      "KWayMerge", "PartitionStore", "EngineConfig",
+                      "ToEngineConfig", "MethodConfig", "ToResolverOptions",
+                      "ResolverSession", "OpenSession", "InitPhase",
+                      "TokenWorkflowTiming")
 
 
 @dataclass
@@ -334,8 +342,9 @@ def check_banned_identifiers(path: str, text: str):
         for m in re.finditer(r"\b%s\b" % name, text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET006",
-                f"'{name}' was removed (use ResolverOptions / EngineConfig "
-                "/ InitStats / MakeResolver / ProgressiveEngine)"))
+                f"'{name}' was removed (use ResolverOptions / "
+                "MakeResolver(dataset, options) / Resolver::Serve / "
+                "ResolveResult::outcome / the registry's phase.* gauges)"))
     return violations
 
 

@@ -18,7 +18,7 @@
 //       refills (same output at every thread count). --budget=N caps the
 //       run at N emitted comparisons (the pay-as-you-go budget,
 //       ResolverOptions::budget; 0 = unlimited). --deadline-ms=N serves
-//       the drain through the session layer with an N-millisecond
+//       the drain through Resolver::Serve with an N-millisecond
 //       deadline per resolve request (ResolveRequest::deadline_ms);
 //       slices cut at the deadline are retried, the stream stays
 //       bit-identical, and a summary counts the cut slices.
@@ -31,7 +31,7 @@
 //       the shed retries.
 //       Method names are case-insensitive ("pps" == "PPS").
 //       --metrics-json=FILE and --trace=FILE turn on telemetry for the
-//       run: the drain is served through the session layer (in slices
+//       run: the drain is served through Resolver::Serve (in slices
 //       bit-identical to the plain drain), and afterwards the metric
 //       registry is written as one JSON snapshot (per-phase init
 //       seconds, refill-map health, session latency histograms)
@@ -45,7 +45,8 @@
 //                    [--method=NAME]
 //       Dataset statistics plus Token-Blocking-Workflow block statistics.
 //       Also constructs the --method resolver (default pps) and prints
-//       its per-phase initialization breakdown.
+//       its per-phase initialization breakdown from the telemetry
+//       registry's phase gauges.
 //
 //   sper_cli serve <dataset> --listen=HOST:PORT [--method=NAME] [--seed=N]
 //                  [--scale=S] [--threads=N] [--budget=N]
@@ -288,7 +289,7 @@ MethodId ParseMethod(const std::string& name) {
   return *id;
 }
 
-/// Serves a drain through the session layer in fixed slices, so a
+/// Serves a drain through Resolver::Serve in fixed slices, so a
 /// telemetry run records per-request session histograms and one
 /// "session.resolve" span per request. Slices concatenated in ticket
 /// order are bit-identical to an un-batched drain of the same resolver
@@ -309,12 +310,11 @@ class SessionEmitter : public ProgressiveEmitter {
       std::unique_ptr<Resolver> resolver, std::uint64_t deadline_ms = 0,
       std::shared_ptr<std::uint64_t> deadline_hits = nullptr)
       : resolver_(std::move(resolver)),
-        session_(resolver_->OpenSession()),
         deadline_ms_(deadline_ms),
         deadline_hits_(std::move(deadline_hits)) {}
 
   /// Routes every request through a QoS admission controller instead of
-  /// the raw session: requests carry `priority`, and a shed request backs
+  /// the plain resolver: requests carry `priority`, and a shed request backs
   /// off by the controller's retry_after_ms hint and retries
   /// (`shed_retries` counts those). The emitted stream is unchanged —
   /// sheds never consume it.
@@ -345,10 +345,12 @@ class SessionEmitter : public ProgressiveEmitter {
         }
         slice_ = std::move(attempt);
       } else {
-        slice_ = session_.Resolve(request);
+        slice_ = resolver_->Serve(request);
       }
       cursor_ = 0;
-      if (slice_.deadline_exceeded() || slice_.cancelled()) {
+      if (slice_.outcome == ResolveOutcome::kDeadlineExpired ||
+          slice_.outcome == ResolveOutcome::kEvicted ||
+          slice_.outcome == ResolveOutcome::kCancelled) {
         // A cut slice is partial, not the end: take what it holds and
         // ask again — the next ticket continues bit-identically.
         if (deadline_hits_ != nullptr) ++*deadline_hits_;
@@ -370,7 +372,6 @@ class SessionEmitter : public ProgressiveEmitter {
 
  private:
   std::unique_ptr<Resolver> resolver_;
-  ResolverSession session_;
   std::uint64_t deadline_ms_ = 0;
   std::shared_ptr<std::uint64_t> deadline_hits_;
   std::unique_ptr<serving::QosAdmissionController> qos_;
@@ -408,11 +409,11 @@ int CmdRun(const CliArgs& args) {
   options.ecstar_max = OptDouble(args, "ecmax", 10.0);
   options.auc_at = {1.0, 5.0, 10.0};
   ProgressiveEvaluator evaluator(dataset.value().truth, options);
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = method;
   config.num_threads = OptThreads(args);
   config.budget = OptBudget(args);
-  std::unique_ptr<Resolver> probe =
-      MakeResolver(method, dataset.value(), config);
+  std::unique_ptr<Resolver> probe = MakeResolver(dataset.value(), config);
   if (probe == nullptr) {
     std::fprintf(stderr, "method %s is not applicable to %s "
                          "(no schema-based blocking key)\n",
@@ -457,9 +458,9 @@ int CmdRun(const CliArgs& args) {
   RunResult run = evaluator.Run(
       [&]() -> std::unique_ptr<ProgressiveEmitter> {
         std::unique_ptr<Resolver> resolver =
-            MakeResolver(method, dataset.value(), config);
+            MakeResolver(dataset.value(), config);
         if (!use_sessions) return resolver;
-        // Route the drain through the session layer so the trace shows
+        // Route the drain through Resolver::Serve so the trace shows
         // one span per resolve request — and so a --deadline-ms applies
         // per request (same emitted stream either way).
         auto emitter = std::make_unique<SessionEmitter>(
@@ -577,14 +578,15 @@ int CmdInspect(const CliArgs& args) {
                   workflow.AggregateCardinality()));
 
   // Per-phase initialization breakdown of the requested method: build
-  // the resolver once with a telemetry scope and print
-  // InitStats::phases.
+  // the resolver once with a telemetry scope and print the registry's
+  // phase gauges, in execution order.
   const MethodId method = ParseMethod(OptString(args, "method", "pps"));
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = method;
   config.num_threads = OptThreads(args);
   obs::Registry registry;
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver = MakeResolver(method, ds, config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(ds, config);
   if (resolver == nullptr) {
     std::printf("\n%s init breakdown: method not applicable to %s "
                 "(no schema-based blocking key)\n",
@@ -595,8 +597,13 @@ int CmdInspect(const CliArgs& args) {
   std::printf("\n%s init breakdown (%.3fs total):\n",
               std::string(ToString(method)).c_str(), stats.init_seconds);
   TextTable breakdown({"phase", "seconds"});
-  for (const InitPhase& phase : stats.phases) {
-    breakdown.AddRow({phase.name, FormatDouble(phase.seconds, 4)});
+  for (const char* phase : {"token_blocking", "block_purging",
+                            "block_filtering", "method_build"}) {
+    const obs::Gauge* seconds =
+        registry.FindGauge(std::string("phase.") + phase + "_seconds");
+    if (seconds != nullptr) {
+      breakdown.AddRow({phase, FormatDouble(seconds->value(), 4)});
+    }
   }
   breakdown.Print();
   return 0;
@@ -640,12 +647,12 @@ int CmdServe(const CliArgs& args) {
   const MethodId method = ParseMethod(OptString(args, "method", "pps"));
 
   obs::Registry registry;
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = method;
   config.num_threads = OptThreads(args);
   config.budget = OptBudget(args);
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(method, dataset.value(), config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   if (resolver == nullptr) {
     std::fprintf(stderr, "method %s is not applicable to %s "
                          "(no schema-based blocking key)\n",
@@ -810,7 +817,9 @@ int CmdClient(const CliArgs& args) {
     }
     ++slices;
     for (const Comparison& c : slice.comparisons) digest.Fold(c);
-    if (slice.deadline_exceeded() || slice.cancelled()) {
+    if (slice.outcome == ResolveOutcome::kDeadlineExpired ||
+        slice.outcome == ResolveOutcome::kEvicted ||
+        slice.outcome == ResolveOutcome::kCancelled) {
       // A cut slice is partial, not the end: ask again (the stream
       // continues losslessly) — unless cuts stopped yielding anything.
       empty_streak = slice.comparisons.empty() ? empty_streak + 1 : 0;
